@@ -1,21 +1,30 @@
-"""Watch the two pointers chase each other through one layer.
+"""Watch the paper's two pointers chase each other through one layer.
 
-A 4x4 image under a same-padded 3x3 kernel: the output region starts five
-words below the input region and the write pointer never catches the read
-frontier.  Each row below is one output block (one produced word).
+A 4x4 image under a same-padded 3x3 kernel: in the paper's pointer model the
+output region starts five words below the input region and the write pointer
+never catches the read frontier.  Each row below is one output block (one
+produced word).  Here the model's offset equals the exact lifetime minimum
+that the planner uses.
 """
 
-from actplan import LayerSpec, derive_dims, min_offset, read_pointer_at, write_pointer_at
+from actplan import (
+    LayerSpec,
+    derive_dims,
+    min_offset,
+    paper_offset,
+    read_pointer_at,
+    write_pointer_at,
+)
 
 layer = LayerSpec(x_in=4, y_in=4, c_in=1, k_x=3, k_y=3, s_x=1, s_y=1,
                   p_x=1, p_y=1, c_out=1)
 dd = derive_dims(layer)
-d = min_offset(layer)
+d = paper_offset(layer)
 
 print(f"layer: 4x4 image, 3x3 kernel, same padding")
 print(f"block = {dd.block_cycles} MAC cycles, {dd.t_len} output blocks")
-print(f"minimal offset d = {d} words, pair footprint = {dd.m_in + d} words "
-      f"(ping-pong would use {dd.m_in + dd.m_out})\n")
+print(f"pointer-model offset d = {d} words (planned offset {min_offset(layer)}), "
+      f"pair footprint = {dd.m_in + d} words (ping-pong would use {dd.m_in + dd.m_out})\n")
 
 span = dd.m_in + d
 print(f"{'block':>5} {'cycle':>6} {'write':>6} {'read':>5}   arena [{-d} .. {dd.m_in})")

@@ -8,16 +8,16 @@ is barely over half the ping-pong footprint.
 from actplan import (
     bundled_network_path,
     parse_network_file,
+    plan_network,
     render_memory_map,
     render_plan_text,
-    savings_report,
 )
 
 net = parse_network_file(bundled_network_path("dmcnn_vd"))
-plan = savings_report(net)
+plan = plan_network(net)
 print(render_plan_text(plan))
 
 small = parse_network_file(bundled_network_path("dmcnn_vd_64"))
 print("the same stack at 64x64, as a picture of region placement:\n")
-print(render_memory_map(savings_report(small), width=72))
+print(render_memory_map(plan_network(small), width=72))
 print("\ni = this layer's input region, o = its output region, x = overlap")

@@ -19,6 +19,7 @@ from actplan import (
     plan_with_offsets,
     random_network,
     seeded_test_vectors,
+    tightest_layer,
 )
 
 net = random_network(random.Random(2006), n_layers=5)
@@ -32,11 +33,11 @@ ref = execute_network_reference(net, x, weights)
 got = execute_network_in_arena(net, plan, x, weights, checked=True)
 print("in-arena vs reference:", "bit-exact" if np.array_equal(ref, got) else "MISMATCH")
 
-tight = max(plan.layer_plans, key=lambda lp: lp.m_min_layer)
-floor = min_safe_offset_bruteforce(net.layers[tight.index])
+tight = tightest_layer(plan)
+floor = min_safe_offset_bruteforce(net.layers[tight])
 offsets = [lp.d for lp in plan.layer_plans]
-offsets[tight.index] = floor - 1
-print(f"\nlowering layer {tight.index + 1}'s offset below the lifetime "
+offsets[tight] = floor - 1
+print(f"\nlowering layer {tight + 1}'s offset below the lifetime "
       f"minimum ({floor} -> {floor - 1}):")
 bad = plan_with_offsets(net, offsets, arena_size=plan.arena_size)
 try:

@@ -25,6 +25,7 @@ from .model import (
     derive_dims,
     min_layer_memory,
     min_offset,
+    paper_offset,
     ping_pong_pair_memory,
     pointer_params,
     read_pointer_at,
@@ -32,13 +33,11 @@ from .model import (
 )
 from .netfile import bundled_network_path, bundled_networks, parse_network_file, parse_network_text
 from .oracle import (
-    AccessTrace,
     OracleReport,
     execute_network_in_arena,
     execute_network_reference,
     min_safe_offset_bruteforce,
     seeded_test_vectors,
-    trace_layer,
     verify_layer,
 )
 from .planner import (
@@ -50,7 +49,7 @@ from .planner import (
     pingpong_network,
     plan_network,
     plan_with_offsets,
-    savings_report,
+    tightest_layer,
 )
 from .report import (
     humanize_words,
@@ -77,13 +76,12 @@ __all__ = [
     "ActplanError", "ChainMismatchError", "ClobberError", "DimensionMismatchError",
     "InvalidLayerError", "NetworkFileError", "PackingError", "SizeLimitError",
     "LayerSpec", "DerivedDims", "PointerParams",
-    "derive_dims", "pointer_params", "write_pointer_at", "read_pointer_at",
+    "derive_dims", "pointer_params", "write_pointer_at", "read_pointer_at", "paper_offset",
     "min_offset", "min_layer_memory", "ping_pong_pair_memory", "apply_packing",
-    "AccessTrace", "OracleReport", "trace_layer", "min_safe_offset_bruteforce",
-    "verify_layer", "execute_network_reference", "execute_network_in_arena",
-    "seeded_test_vectors",
+    "OracleReport", "min_safe_offset_bruteforce", "verify_layer",
+    "execute_network_reference", "execute_network_in_arena", "seeded_test_vectors",
     "NetworkSpec", "LayerPlan", "MemoryPlan", "packed_layers", "plan_network",
-    "plan_with_offsets", "pingpong_network", "count_parameters", "savings_report",
+    "plan_with_offsets", "pingpong_network", "count_parameters", "tightest_layer",
     "parse_network_file", "parse_network_text", "bundled_network_path", "bundled_networks",
     "plan_to_dict", "plan_from_dict", "plan_to_json", "plan_from_json",
     "render_plan_text", "render_memory_map", "humanize_words",

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``plan <file>``    compute the arena plan and savings report for a network
 * ``verify <file>``  check each layer's closed-form offset against the
-                     brute-force lifetime minimum
+                     brute-force lifetime minimum, beside the paper's
+                     pointer-model offset
 * ``sweep``          exhaustive layer sweep plus randomized in-arena
                      execution of seeded networks
 * ``exec <file>``    run a network in-arena against the two-buffer reference
@@ -29,7 +30,8 @@ from .oracle import (
     seeded_test_vectors,
     verify_layer,
 )
-from .planner import packed_layers, plan_with_offsets, savings_report
+from .model import paper_offset
+from .planner import packed_layers, plan_network, plan_with_offsets, tightest_layer
 from .report import plan_to_json, render_plan_text
 from .sweep import SweepBounds, run_exec_sweep, run_layer_sweep
 
@@ -38,7 +40,7 @@ __all__ = ["main"]
 
 def _cmd_plan(args) -> int:
     net = parse_network_file(args.file)
-    plan = savings_report(net)
+    plan = plan_network(net)
     if args.format == "json":
         print(plan_to_json(plan))
     else:
@@ -61,6 +63,7 @@ def _cmd_verify(args) -> int:
             "verdict": rep.verdict,
             "d_closed_form": rep.d_closed_form,
             "d_oracle": rep.d_oracle,
+            "d_paper": paper_offset(layer),
         }
         if rep.verdict == "closed_form_conservative":
             row["gap"] = rep.gap
@@ -73,17 +76,19 @@ def _cmd_verify(args) -> int:
             if row["verdict"] == "skipped":
                 print(f"layer {row['layer']:>3}: skipped ({row['detail']})")
             elif row["verdict"] == "match":
-                print(f"layer {row['layer']:>3}: match (d={row['d_closed_form']})")
+                print(f"layer {row['layer']:>3}: match (d={row['d_closed_form']}, "
+                      f"paper {row['d_paper']})")
             elif row["verdict"] == "closed_form_conservative":
                 print(
                     f"layer {row['layer']:>3}: conservative "
                     f"(closed {row['d_closed_form']}, minimum {row['d_oracle']}, "
-                    f"gap {row['gap']})"
+                    f"gap {row['gap']}, paper {row['d_paper']})"
                 )
             else:
                 print(
                     f"layer {row['layer']:>3}: UNSAFE "
-                    f"(closed {row['d_closed_form']} < minimum {row['d_oracle']})"
+                    f"(closed {row['d_closed_form']} < minimum {row['d_oracle']}, "
+                    f"paper {row['d_paper']})"
                 )
     return 1 if any_unsafe else 0
 
@@ -127,10 +132,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_exec(args) -> int:
     net = parse_network_file(args.file)
-    plan = savings_report(net)
+    plan = plan_network(net)
     if args.corrupt_offset:
         offsets = [lp.d for lp in plan.layer_plans]
-        tightest = max(plan.layer_plans, key=lambda lp: (lp.m_min_layer, -lp.index)).index
+        tightest = tightest_layer(plan)
         offsets[tightest] = max(0, offsets[tightest] - args.corrupt_offset)
         print(f"corrupting layer {tightest + 1}: offset {plan.layer_plans[tightest].d} "
               f"-> {offsets[tightest]}")
@@ -172,11 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="exhaustive layer sweep and randomized execution")
-    p.add_argument("--max-dim", type=int, default=6)
-    p.add_argument("--max-kernel", type=int, default=3)
-    p.add_argument("--max-stride", type=int, default=2)
-    p.add_argument("--max-pad", type=int, default=1)
-    p.add_argument("--max-channels", type=int, default=3)
+    bounds = SweepBounds()
+    for name in ("max_dim", "max_kernel", "max_stride", "max_pad", "max_channels"):
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(bounds, name))
     p.add_argument("--networks", type=int, default=100,
                    help="number of seeded random networks to execute (0 disables)")
     p.add_argument("--seed", type=int, default=0)

@@ -17,11 +17,12 @@ cycle counter ``t`` (one multiply-accumulate per cycle):
 
 Everything is computed with integer floor/ceil arithmetic (velocities are
 exact rationals), so results are bit-stable for arbitrarily large layers.
+These are the paper's equations; ``paper_offset`` is the offset they give.
 
-``min_offset`` searches for the smallest initial distance between the two
-pointers such that the write pointer stays strictly below the read frontier
-at the start of every output block; ``min_layer_memory`` turns that distance
-into the joint memory footprint of the layer's input/output pair.
+Plans do not use the pointer model.  ``min_offset`` is the exact lifetime
+minimum, a separable formula over the last window that reads each input row
+and column; ``min_layer_memory`` turns it into the joint memory footprint of
+the layer's input/output pair.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "write_pointer_at",
     "read_pointer_at",
     "min_offset",
+    "paper_offset",
     "min_layer_memory",
     "ping_pong_pair_memory",
     "apply_packing",
@@ -191,21 +193,20 @@ def read_pointer_at(t: int, layer: LayerSpec, p_r0: int = 0) -> int:
     return max(0, x_term + y_term - top_pad - side) + p_r0
 
 
-def _block_gap(layer: LayerSpec, dd: DerivedDims, k: int) -> int:
-    """write - read gap at the start cycle of block ``k`` (both starting at 0)."""
-    t = k * dd.block_cycles
-    return k - read_pointer_at(t, layer)
+def paper_offset(layer: LayerSpec) -> int:
+    """The paper's offset: one word above the largest write - read gap.
 
-
-def _max_block_gap(layer: LayerSpec) -> int:
-    """Maximum of ``_block_gap`` over all blocks, by candidate scan.
+    Evaluates the pointer model at the start of every output block (both
+    pointers starting at 0) and returns the least ``d >= 1`` that keeps the
+    write pointer strictly below the read frontier there.  This is the
+    paper's model, kept for comparison; plans use :func:`min_offset`.
 
     Within one window the frontier is constant (except for the pullback tick
     right after a row start), so per window only the first and last block can
     be extremal.  Along a row the frontier is affine in the window column
     with a single clamp release, so the extrema sit at the row ends and next
     to the release point.  That reduces the scan to a handful of blocks per
-    output row, which keeps multi-megapixel layers instant.
+    output row.
     """
     dd = derive_dims(layer)
     cout = layer.c_out
@@ -228,37 +229,57 @@ def _max_block_gap(layer: LayerSpec) -> int:
                 if 1 <= x < dd.x_out:
                     cand.add(first + (x + 1) * cout - 1)
         for k in cand:
-            g = _block_gap(layer, dd, k)
-            if g > best:
-                best = g
-    return best
+            best = max(best, k - read_pointer_at(k * dd.block_cycles, layer))
+    return best + 1
+
+
+def _last_readers(n_in: int, k: int, s: int, p: int, n_out: int):
+    """``(i, j)`` for every input index ``i`` along one axis that is read.
+
+    Window ``j`` covers ``[j*s - p, j*s - p + k)``.  The last window starting
+    at or before ``i`` is ``min(n_out - 1, (i + p) // s)``; ``i`` is read iff
+    that window still reaches it.
+    """
+    for i in range(n_in):
+        j = min(n_out - 1, (i + p) // s)
+        if i < j * s - p + k:
+            yield i, j
 
 
 def min_offset(layer: LayerSpec) -> int:
     """Smallest safe distance (words) from output base up to input base.
 
-    Returns the least ``d >= 1`` such that, with the output region starting
-    ``d`` words below the input region, the write pointer stays strictly
-    below the read frontier at the start of every output block.  Strict
-    inequality keeps the two regions apart even when they move in lockstep,
-    hence the floor of one word.
+    Output word ``e`` lands ``e - d`` words above the input base and commits
+    when its window ``e // c_out`` finishes, so an input word at address
+    ``a`` whose last reading window is ``w`` needs ``d >= c_out * w - a``.
+    The last window reading pixel ``(y, x)`` is ``ly(y) * x_out + lx(x)``
+    and channel 0 has the pixel's lowest address, so the maximum over all
+    words separates into a row term and a column term, each a scan of one
+    axis.  The result is floored at one word (strict separation).  A
+    residual carry sits above the input and stays live all layer, so the
+    last output word must land below it: ``d >= m_out - x_in*y_in*c_in``.
     """
-    return _max_block_gap(layer) + 1
+    dd = derive_dims(layer)
+    rows = [layer.c_out * dd.x_out * j - i * layer.x_in * layer.c_in
+            for i, j in _last_readers(layer.y_in, layer.k_y, layer.s_y, layer.p_y, dd.y_out)]
+    cols = [layer.c_out * j - i * layer.c_in
+            for i, j in _last_readers(layer.x_in, layer.k_x, layer.s_x, layer.p_x, dd.x_out)]
+    d = max(1, max(rows) + max(cols)) if rows and cols else 1
+    if layer.residual_carry_words:
+        d = max(d, dd.m_out - layer.x_in * layer.y_in * layer.c_in)
+    return d
 
 
 def min_layer_memory(layer: LayerSpec) -> int:
     """Joint footprint (words) of the layer's input and output regions.
 
-    Equal to ``m_in + min_offset``.  The write pointer finishes strictly
-    below the read frontier, and the frontier never points past the input
-    end by more than the window's own x extent, so the output region ends at
-    or below the input region's end and the pair fits in this many words.
-    The single exception is a degenerate layer whose output element count
-    exceeds ``m_in + d`` because whole window rows/columns fall in padding
-    (possible only when the kernel is smaller than the padding run-out); the
-    network planner widens the arena to ``m_out`` for such layers.
+    The output region starts ``min_offset`` words below the input base; it
+    ends inside the input region unless the layer emits more words than
+    ``m_in + d`` spans (channel expansion, windows over padding), so the
+    pair needs ``max(m_in + d, m_out)`` words.
     """
-    return derive_dims(layer).m_in + min_offset(layer)
+    dd = derive_dims(layer)
+    return max(dd.m_in + min_offset(layer), dd.m_out)
 
 
 def ping_pong_pair_memory(layer: LayerSpec) -> int:

@@ -1,9 +1,9 @@
-"""Ground truth for the pointer model: lifetime brute force and executors.
+"""Ground truth for the planner: lifetime brute force and executors.
 
-Nothing here uses the closed-form read frontier.  The minimal safe offset is
-recomputed from the literal six-loop access pattern of a convolution layer
-(outputs in y, x, c_out order; taps in k_y, k_x, c_in order; padded taps read
-nothing), and whole networks are executed bit-exactly inside one flat arena
+Nothing here uses the separable offset formula or the pointer model.  The
+minimal safe offset is recomputed from the literal six-loop access pattern of
+a convolution layer (outputs in y, x, c_out order; taps in k_y, k_x, c_in
+order; padded taps read nothing), and whole networks are executed bit-exactly inside one flat arena
 to prove that a plan never destroys data that is still needed.
 
 Write timing contract: all ``c_out`` output words of one window position are
@@ -25,11 +25,8 @@ from .errors import ClobberError, DimensionMismatchError, PackingError, SizeLimi
 from .model import LayerSpec, derive_dims, min_offset
 
 __all__ = [
-    "AccessTrace",
     "OracleReport",
     "DEFAULT_CYCLE_CAP",
-    "DEFAULT_TRACE_CAP",
-    "trace_layer",
     "min_safe_offset_bruteforce",
     "verify_layer",
     "execute_network_reference",
@@ -38,24 +35,9 @@ __all__ = [
 ]
 
 # Caps on t_len * block_cycles.  Offsets only need a last-reader map, so they
-# afford a much higher cap than materializing a full trace or stepping every
-# MAC of an execution in Python.
+# afford a much higher cap than stepping every MAC of an execution in Python.
 DEFAULT_CYCLE_CAP = 4_000_000_000
-DEFAULT_TRACE_CAP = 2_000_000
 DEFAULT_EXEC_CAP = 20_000_000
-
-
-@dataclass(frozen=True)
-class AccessTrace:
-    """Flat record of a layer's memory behaviour in execution order.
-
-    ``reads`` holds ``(block, input word address)`` pairs; ``writes`` holds
-    one ``(block, output word index)`` pair per block.  Block indices are
-    non-decreasing and the write of block ``k`` lands at output word ``k``.
-    """
-
-    reads: tuple
-    writes: tuple
 
 
 @dataclass(frozen=True)
@@ -79,37 +61,6 @@ def _check_cap(layer: LayerSpec, cap: int) -> None:
             f"layer needs {cycles} MAC cycles, above the brute-force cap of {cap}; "
             "use the closed-form planner for layers this large"
         )
-
-
-def trace_layer(layer: LayerSpec, cycle_cap: int = DEFAULT_TRACE_CAP) -> AccessTrace:
-    """Enumerate every read and write of a layer from the literal loop nest."""
-    _check_cap(layer, cycle_cap)
-    dd = derive_dims(layer)
-    cpg_in = layer.c_in // layer.groups
-    cpg_out = layer.c_out // layer.groups
-    reads = []
-    writes = []
-    k = 0
-    for y_out in range(dd.y_out):
-        y0 = y_out * layer.s_y - layer.p_y
-        for x_out in range(dd.x_out):
-            x0 = x_out * layer.s_x - layer.p_x
-            for c_out in range(layer.c_out):
-                group = c_out // cpg_out
-                c_base = group * cpg_in
-                for k_y in range(layer.k_y):
-                    y = y0 + k_y
-                    if not 0 <= y < layer.y_in:
-                        continue
-                    for k_x in range(layer.k_x):
-                        x = x0 + k_x
-                        if not 0 <= x < layer.x_in:
-                            continue
-                        addr = (y * layer.x_in + x) * layer.c_in + c_base
-                        reads.extend((k, addr + c) for c in range(cpg_in))
-                writes.append((k, k))
-                k += 1
-    return AccessTrace(reads=tuple(reads), writes=tuple(writes))
 
 
 def _last_read_window(layer: LayerSpec) -> np.ndarray:
@@ -171,9 +122,11 @@ def verify_layer(
 ) -> OracleReport:
     """Compare the closed-form offset with the brute-force minimum.
 
-    ``closed_form_offset`` overrides the computed value; tests use it to
-    exercise the UNSAFE verdict, which cannot arise from the real model on
-    layers whose padding does not exceed the stride.
+    ``closed_form_offset`` overrides the computed value, e.g. to check a
+    stored or hand-picked offset.  The closed form equals the minimum on
+    every layer without residual carry; with one it may exceed it, because
+    the oracle covers the convolution input only and the closed form also
+    keeps the output off the carry.
     """
     d_closed = min_offset(layer) if closed_form_offset is None else closed_form_offset
     d_oracle = min_safe_offset_bruteforce(layer, cycle_cap)

@@ -24,7 +24,7 @@ __all__ = [
     "plan_with_offsets",
     "pingpong_network",
     "count_parameters",
-    "savings_report",
+    "tightest_layer",
 ]
 
 
@@ -97,8 +97,8 @@ def _build_plan(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
     layers = packed_layers(net)
     dims = [derive_dims(layer) for layer in layers]
     m_mins = [dd.m_in + d for dd, d in zip(dims, offsets)]
-    # A degenerate layer whose windows fall partly in padding can emit more
-    # words than m_in + d spans; the arena must still hold its full output.
+    # A layer can emit more words than m_in + d spans (channel expansion,
+    # windows over padding); the arena must still hold its full output.
     needed = max(max(m_mins), max(dd.m_out for dd in dims))
     size = needed if arena_size is None else arena_size
 
@@ -139,10 +139,10 @@ def plan_network(net: NetworkSpec) -> MemoryPlan:
     """Minimal arena and per-layer placements for a network.
 
     The arena is the maximum over layers of the per-layer joint footprint
-    (and of the raw output size, which only wins for degenerate padded
-    layers).  Output bases descend by each layer's offset modulo the arena;
-    because the arena is at least ``m_in + d`` for every layer, the linear
-    safety argument for a layer pair embeds unchanged in the circle.
+    ``max(m_in + d, m_out)``.  Output bases descend by each layer's offset
+    modulo the arena; because the arena is at least ``m_in + d`` for every
+    layer, the linear safety argument for a layer pair embeds unchanged in
+    the circle.
     """
     offsets = [min_offset(layer) for layer in packed_layers(net)]
     return _build_plan(net, offsets)
@@ -181,6 +181,6 @@ def count_parameters(net: NetworkSpec) -> int:
     return total
 
 
-def savings_report(net: NetworkSpec) -> MemoryPlan:
-    """Fully populated plan including baseline and savings percentages."""
-    return plan_network(net)
+def tightest_layer(plan: MemoryPlan) -> int:
+    """Index of the layer with the largest ``m_in + d`` (first on ties)."""
+    return max(plan.layer_plans, key=lambda lp: (lp.m_min_layer, -lp.index)).index

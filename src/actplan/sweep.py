@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ClobberError
 from .model import LayerSpec, apply_packing, derive_dims
 from .oracle import (
+    DEFAULT_CYCLE_CAP,
     _raw_min_safe_offset,
     execute_network_in_arena,
     execute_network_reference,
@@ -25,7 +26,7 @@ from .oracle import (
     seeded_test_vectors,
     verify_layer,
 )
-from .planner import NetworkSpec, plan_network, plan_with_offsets
+from .planner import NetworkSpec, plan_network, plan_with_offsets, tightest_layer
 
 __all__ = [
     "SweepBounds",
@@ -47,9 +48,9 @@ class SweepBounds:
     """
 
     max_dim: int = 6
-    max_kernel: int = 3
+    max_kernel: int = 5
     max_stride: int = 2
-    max_pad: int = 1
+    max_pad: int = 2
     max_channels: int = 3
     grouped: bool = True
     packed: bool = True
@@ -119,15 +120,12 @@ def sweep_layer_configs(bounds: SweepBounds = SweepBounds()):
                                             yield layer
 
 
-def run_layer_sweep(bounds: SweepBounds = SweepBounds(), cycle_cap: int | None = None) -> SweepSummary:
+def run_layer_sweep(bounds: SweepBounds = SweepBounds(),
+                    cycle_cap: int = DEFAULT_CYCLE_CAP) -> SweepSummary:
     """Verify the closed form against the oracle over the whole domain."""
     summary = SweepSummary()
     for layer in sweep_layer_configs(bounds):
-        if cycle_cap is None:
-            report = verify_layer(layer)
-        else:
-            report = verify_layer(layer, cycle_cap=cycle_cap)
-        summary.record(layer, report)
+        summary.record(layer, verify_layer(layer, cycle_cap=cycle_cap))
     return summary
 
 
@@ -174,10 +172,6 @@ class ExecSummary:
     mismatches: list = field(default_factory=list)
 
 
-def _tightest_index(plan) -> int:
-    return max(plan.layer_plans, key=lambda lp: (lp.m_min_layer, -lp.index)).index
-
-
 def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
     """Execute ``count`` seeded random networks in-arena vs. the reference.
 
@@ -211,7 +205,7 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
             summary.oracle_plan_bit_exact += 1
 
         offsets = [lp.d for lp in plan.layer_plans]
-        ti = _tightest_index(plan)
+        ti = tightest_layer(plan)
         lowered = list(offsets)
         lowered[ti] = offsets[ti] - 1
         if _clobbers(net, plan, lowered, x, weights):

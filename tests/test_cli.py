@@ -73,6 +73,18 @@ class TestVerify:
         doc = json.loads(out)
         assert [row["verdict"] for row in doc["layers"]] == ["match", "match"]
 
+    def test_padding_above_stride_verifies(self, capsys):
+        # dlib_face's 5x5 pad-2 and 9x9 pad-4 layers: the planned offsets
+        # match the lifetime minimum while the paper's model falls below it
+        path = str(bundled_network_path("dlib_face"))
+        code, out, _ = run_cli(capsys, "verify", path)
+        assert code == 0
+        assert out.count(": match") == 7
+        code, out, _ = run_cli(capsys, "verify", path, "--format", "json")
+        rows = json.loads(out)["layers"]
+        assert all(row["d_closed_form"] == row["d_oracle"] for row in rows)
+        assert all(row["d_paper"] < row["d_oracle"] for row in rows[3:7])
+
     def test_conservative_verdicts_list_gap(self, capsys):
         code, out, _ = run_cli(capsys, "verify",
                                str(bundled_network_path("mobilenet_v2")))

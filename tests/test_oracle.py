@@ -1,5 +1,7 @@
 """Brute-force lifetime oracle and the two executors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,20 @@ from actplan import (
     LayerSpec,
     NetworkSpec,
     SizeLimitError,
+    SweepBounds,
     execute_network_in_arena,
     execute_network_reference,
     min_offset,
     min_safe_offset_bruteforce,
     plan_network,
     plan_with_offsets,
+    read_pointer_at,
     seeded_test_vectors,
-    trace_layer,
+    sweep_layer_configs,
     verify_layer,
 )
+
+from conftest import loop_nest_trace
 
 
 def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1):
@@ -27,40 +33,36 @@ def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1):
 
 
 class TestTrace:
+    """The literal loop nest that the oracle tests below compare against."""
+
     def test_identity_scan(self):
-        trace = trace_layer(square(2))
-        assert trace.reads == ((0, 0), (1, 1), (2, 2), (3, 3))
-        assert trace.writes == ((0, 0), (1, 1), (2, 2), (3, 3))
+        reads, writes = loop_nest_trace(square(2))
+        assert reads == ((0, 0), (1, 1), (2, 2), (3, 3))
+        assert writes == ((0, 0), (1, 1), (2, 2), (3, 3))
 
     def test_corner_window_skips_padded_taps(self):
-        trace = trace_layer(square(4, k=3, p=1))
-        block0 = sorted(addr for k, addr in trace.reads if k == 0)
+        reads, _ = loop_nest_trace(square(4, k=3, p=1))
+        block0 = sorted(addr for k, addr in reads if k == 0)
         assert block0 == [0, 1, 4, 5]  # 4 of 9 taps in bounds
 
     def test_two_blocks_per_pixel(self):
-        trace = trace_layer(square(2, c_out=2))
-        assert len(trace.writes) == 8
-        assert [k for k, _ in trace.writes] == list(range(8))
+        _, writes = loop_nest_trace(square(2, c_out=2))
+        assert len(writes) == 8
+        assert [k for k, _ in writes] == list(range(8))
 
     def test_reads_stay_in_bounds(self):
         for layer in (square(4, k=3, p=1), square(3, k=3, p=1, s=2),
                       square(2, k=1, p=1), square(5, c_in=3, k=2, p=1, c_out=2)):
             m_conv = layer.x_in * layer.y_in * layer.c_in
-            trace = trace_layer(layer)
-            assert all(0 <= addr < m_conv for _, addr in trace.reads)
-            blocks = [k for k, _ in trace.reads]
+            reads, _ = loop_nest_trace(layer)
+            assert all(0 <= addr < m_conv for _, addr in reads)
+            blocks = [k for k, _ in reads]
             assert blocks == sorted(blocks)
 
     def test_depthwise_reads_own_group_only(self):
-        trace = trace_layer(square(2, c_in=2, c_out=2, groups=2))
-        for k, addr in trace.reads:
+        reads, _ = loop_nest_trace(square(2, c_in=2, c_out=2, groups=2))
+        for k, addr in reads:
             assert addr % 2 == k % 2  # channel c_out reads channel c_in == c_out
-
-    def test_size_cap(self):
-        big = LayerSpec(x_in=640, y_in=640, c_in=64, k_x=3, k_y=3, s_x=1, s_y=1,
-                        p_x=1, p_y=1, c_out=64)
-        with pytest.raises(SizeLimitError):
-            trace_layer(big)
 
 
 class TestBruteForceOffset:
@@ -70,8 +72,7 @@ class TestBruteForceOffset:
 
     def test_channel_doubling(self):
         # the final window's own words may be overwritten once its last tap
-        # is read, which the closed form does not exploit: minimum is 3
-        # against a closed-form 5
+        # is read: minimum 3, where the paper's pointer model asks for 5
         assert min_safe_offset_bruteforce(square(2, c_out=2)) == 3
 
     def test_same_padding_three_by_three(self):
@@ -81,15 +82,15 @@ class TestBruteForceOffset:
         # independent re-derivation from the literal trace: smallest d whose
         # writes never land on a word a later window still reads
         def exhaustive(layer):
-            trace = trace_layer(layer)
+            reads, writes = loop_nest_trace(layer)
             last_window = {}
-            for k, addr in trace.reads:
+            for k, addr in reads:
                 last_window[addr] = k // layer.c_out
             m_in = layer.x_in * layer.y_in * layer.c_in
-            t_len = len(trace.writes)
+            t_len = len(writes)
             for d in range(1, m_in + t_len + 1):
                 ok = True
-                for k, _ in trace.writes:
+                for k, _ in writes:
                     a = k - d
                     if 0 <= a < m_in and last_window.get(a, -1) > k // layer.c_out:
                         ok = False
@@ -117,7 +118,7 @@ class TestVerify:
         assert verify_layer(square(5, c_in=2, k=3, p=1, c_out=2)).verdict == "match"
 
     def test_conservative_verdict_with_gap(self):
-        rep = verify_layer(square(2, c_out=2))
+        rep = verify_layer(square(2, c_out=2), closed_form_offset=5)
         assert rep.verdict == "closed_form_conservative"
         assert (rep.d_closed_form, rep.d_oracle, rep.gap) == (5, 3, 2)
 
@@ -130,9 +131,8 @@ class TestVerify:
         # at t=45 the model's frontier (1) equals the lowest address any
         # later window reads, per the trace
         layer = square(4, k=3, p=1)
-        trace = trace_layer(layer)
-        future = min(addr for k, addr in trace.reads if k > 5)
-        from actplan import read_pointer_at
+        reads, _ = loop_nest_trace(layer)
+        future = min(addr for k, addr in reads if k > 5)
         assert read_pointer_at(45, layer) == future == 1
 
 
@@ -218,6 +218,14 @@ class TestExecutors:
         bad = plan_with_offsets(net, [12], arena_size=plan.arena_size)
         with pytest.raises(ClobberError):
             execute_network_in_arena(net, bad, x, weights, checked=True)
+
+    def test_carry_bound_keeps_output_off_the_carry(self):
+        # channel-expanding layers would otherwise write their last words
+        # onto the carry, which sits right above the convolution input
+        for layer in sweep_layer_configs(SweepBounds(max_dim=4, packed=False)):
+            net = NetworkSpec("carry", (replace(layer, residual_carry_words=3),))
+            x, weights = seeded_test_vectors(net, seed=0)
+            execute_network_in_arena(net, plan_network(net), x, weights, checked=True)
 
     def test_dimension_mismatch(self):
         net = NetworkSpec("n", (square(4),))

@@ -15,11 +15,12 @@ from actplan import (
     execute_network_in_arena,
     execute_network_reference,
     min_layer_memory,
+    min_offset,
     pingpong_network,
     plan_network,
     plan_with_offsets,
-    savings_report,
     seeded_test_vectors,
+    tightest_layer,
 )
 
 
@@ -76,8 +77,8 @@ class TestPlan:
         for lp, layer in zip(plan.layer_plans, net.layers):
             assert lp.output_base == (lp.input_base - lp.d) % size
             assert 0 <= lp.output_base < size
-            assert lp.m_min_layer == min_layer_memory(layer)
-            assert lp.m_min_layer <= size
+            assert lp.m_min_layer == lp.m_in + lp.d
+            assert max(lp.m_min_layer, lp.m_out) == min_layer_memory(layer) <= size
 
     def test_arena_is_max_over_layers(self):
         layers = (square(4, k=3, p=1, c_out=2), square(4, c_in=2, k=3, p=1, c_out=1))
@@ -93,13 +94,22 @@ class TestPlan:
         # the output size for the plan to execute at all
         layer = square(2, k=1, p=1)
         dd = derive_dims(layer)
-        assert dd.m_out > min_layer_memory(layer)
+        assert dd.m_out > dd.m_in + min_offset(layer)
+        assert min_layer_memory(layer) == dd.m_out
         net = NetworkSpec("degen", (layer,))
         plan = plan_network(net)
         assert plan.arena_size == dd.m_out
         x, weights = seeded_test_vectors(net, seed=5)
         got = execute_network_in_arena(net, plan, x, weights, checked=True)
         assert np.array_equal(got, execute_network_reference(net, x, weights))
+
+    def test_tightest_layer_is_first_largest_pair(self):
+        assert tightest_layer(plan_network(lockstep_pair(3))) == 0
+        net = NetworkSpec("grow", (square(4, k=3, p=1, c_out=2),
+                                   square(4, c_in=2, k=3, p=1, c_out=1)))
+        plan = plan_network(net)
+        assert plan.layer_plans[1].m_min_layer > plan.layer_plans[0].m_min_layer
+        assert tightest_layer(plan) == 1
 
     def test_plan_with_offsets_validation(self):
         net = lockstep_pair(3)
@@ -136,7 +146,7 @@ class TestBaselineAndParams:
 
 class TestSavings:
     def test_formulas(self):
-        plan = savings_report(lockstep_pair(10))
+        plan = plan_network(lockstep_pair(10))
         # two equal 100-word layers: arena 101, baseline 200
         assert plan.arena_size == 101
         assert plan.pingpong_size == 200
@@ -148,7 +158,7 @@ class TestSavings:
     @pytest.mark.parametrize("edge", [2, 10, 100])
     def test_lockstep_pair_approaches_half(self, edge):
         m = edge * edge
-        plan = savings_report(lockstep_pair(edge))
+        plan = plan_network(lockstep_pair(edge))
         assert Fraction(plan.pingpong_size - plan.arena_size, plan.pingpong_size) \
             == Fraction(m - 1, 2 * m)
 
@@ -166,7 +176,7 @@ class TestPackedPlanning:
         packed = plan_network(NetworkSpec("p", (layer, layer), packing=2))
         plain = plan_network(NetworkSpec("q", (layer, layer)))
         assert packed.arena_size == 17  # 16 pixels one word each, lockstep
-        assert plain.arena_size == 34   # d = 2 at one word per datum
+        assert plain.arena_size == 33   # 32 words plus the one-word floor
         assert packed.pingpong_size * 2 == plain.pingpong_size
         # parameters stay in raw words regardless of packing
         assert packed.parameter_words == plain.parameter_words
