@@ -24,7 +24,6 @@ from .errors import ActplanError, ClobberError, SizeLimitError
 from .netfile import parse_network_file
 from .oracle import (
     DEFAULT_CYCLE_CAP,
-    DEFAULT_EXEC_CAP,
     execute_network_in_arena,
     execute_network_reference,
     seeded_test_vectors,
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checked", action="store_true",
                    help="track per-word liveness and report the first clobber")
-    p.add_argument("--cycle-cap", type=int, default=DEFAULT_EXEC_CAP,
+    p.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP,
                    help="refuse networks needing more MAC cycles than this")
     p.add_argument("--corrupt-offset", type=int, default=0, metavar="N",
                    help="lower the tightest layer's offset by N before executing")

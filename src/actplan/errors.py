@@ -22,7 +22,7 @@ class SizeLimitError(ActplanError):
 
 
 class DimensionMismatchError(ActplanError):
-    """An input tensor or weight set does not match the layer geometry."""
+    """An input tensor, weight set or plan does not match the layer geometry."""
 
 
 class NetworkFileError(ActplanError):
@@ -42,15 +42,24 @@ class NetworkFileError(ActplanError):
 class ClobberError(ActplanError):
     """Checked in-arena execution wrote over a word that was still live.
 
-    Carries the layer index, the output block whose write collided, and the
-    absolute arena address, so the first violating write can be pinpointed.
+    Carries the layer index, the output block whose write collided, the
+    absolute arena address, the window that wrote it and the last window
+    due to read the victim word (``last_reader`` is ``None`` when the layer
+    had already written that word itself), so the first violating write can
+    be pinpointed and its earliness measured in windows.
     """
 
-    def __init__(self, layer_index, block, address):
+    def __init__(self, layer_index, block, address, window=None, last_reader=None):
         self.layer_index = layer_index
         self.block = block
         self.address = address
-        super().__init__(
-            f"live data clobbered: layer {layer_index + 1}, output block {block}, "
-            f"arena address {address}"
-        )
+        self.window = window
+        self.last_reader = last_reader
+        message = (f"live data clobbered: layer {layer_index + 1}, output block {block}, "
+                   f"arena address {address}")
+        if window is not None and last_reader is None:
+            message += f"; window {window} wrote it a second time"
+        elif window is not None:
+            message += (f"; window {window} wrote it {last_reader - window} windows before "
+                        f"its last reader, window {last_reader}")
+        super().__init__(message)

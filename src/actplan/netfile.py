@@ -53,7 +53,7 @@ def parse_network_text(text: str, source: str = "<string>") -> NetworkSpec:
             raise NetworkFileError(exc.msg, location=f"{source}: line {exc.lineno}") from exc
     else:
         try:
-            doc = yaml.safe_load(text)
+            doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             loc = f"{source}: line {mark.line + 1}" if mark else source

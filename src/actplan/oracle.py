@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ClobberError, DimensionMismatchError, PackingError, SizeLimitError
 from .model import LayerSpec, derive_dims, min_offset
@@ -34,10 +35,8 @@ __all__ = [
     "seeded_test_vectors",
 ]
 
-# Caps on t_len * block_cycles.  Offsets only need a last-reader map, so they
-# afford a much higher cap than stepping every MAC of an execution in Python.
+# Cap on MAC cycles (t_len * block_cycles summed over the layers checked).
 DEFAULT_CYCLE_CAP = 4_000_000_000
-DEFAULT_EXEC_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,10 @@ def verify_layer(
 # ---------------------------------------------------------------------------
 # Execution
 
+# Words gathered and written per batch of windows: bounds the in-arena
+# executor's scratch memory whatever the layer size.
+_BATCH_WORDS = 1 << 15
+
 
 def _check_exec_cap(net, cap: int) -> None:
     total = 0
@@ -151,7 +154,7 @@ def _check_exec_cap(net, cap: int) -> None:
     if total > cap:
         raise SizeLimitError(
             f"network needs {total} MAC cycles, above the execution cap of {cap}; "
-            "the executors are desk-scale validators, not inference engines"
+            "raise the cap to execute it anyway"
         )
 
 
@@ -185,38 +188,29 @@ def _check_vectors(net, input_tensor, weights):
                 raise DimensionMismatchError(
                     f"layer {i + 1}: bias shape {b.shape} does not match ({layer.c_out},)"
                 )
-        checked.append((w, b))
+        # grouped as (groups, c_out per group, k_y, k_x, c_in per group)
+        g = layer.groups
+        checked.append((w.reshape(g, layer.c_out // g, *want[1:]), b))
     return x, checked
 
 
 def _conv_layer(layer: LayerSpec, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain padded integer convolution (identity activation)."""
     dd = derive_dims(layer)
-    cpg_in = layer.c_in // layer.groups
-    cpg_out = layer.c_out // layer.groups
-    out = np.zeros((dd.y_out, dd.x_out, layer.c_out), dtype=np.int64)
-    for y_out in range(dd.y_out):
-        y0 = y_out * layer.s_y - layer.p_y
-        ys, ye = max(0, y0), min(layer.y_in, y0 + layer.k_y)
-        for x_out in range(dd.x_out):
-            x0 = x_out * layer.s_x - layer.p_x
-            xs, xe = max(0, x0), min(layer.x_in, x0 + layer.k_x)
-            for c_out in range(layer.c_out):
-                group = c_out // cpg_out
-                acc = int(b[c_out])
-                for y in range(ys, ye):
-                    for x_ in range(xs, xe):
-                        for c in range(cpg_in):
-                            acc += int(x[y, x_, group * cpg_in + c]) * int(
-                                w[c_out, y - y0, x_ - x0, c]
-                            )
-                out[y_out, x_out, c_out] = acc
-    return out
+    padded = np.pad(x, ((layer.p_y, layer.p_y), (layer.p_x, layer.p_x), (0, 0)))
+    win = sliding_window_view(padded, (layer.k_y, layer.k_x), axis=(0, 1))
+    win = win[::layer.s_y, ::layer.s_x].reshape(
+        dd.y_out, dd.x_out, layer.groups, -1, layer.k_y, layer.k_x)
+    out = np.einsum("yxgcij,goijc->yxgo", win, w)
+    return out.reshape(dd.y_out, dd.x_out, layer.c_out) + b
 
 
 def execute_network_reference(net, input_tensor, weights,
-                               cycle_cap: int = DEFAULT_EXEC_CAP) -> np.ndarray:
-    """Two-buffer layer-by-layer execution; the bit-exactness ground truth."""
+                               cycle_cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
+    """Two-buffer layer-by-layer execution; the bit-exactness ground truth.
+
+    Arithmetic is int64 and wraps modulo 2**64.
+    """
     if net.packing != 1:
         raise PackingError("execution models one datum per memory word (packing must be 1)")
     _check_exec_cap(net, cycle_cap)
@@ -227,92 +221,92 @@ def execute_network_reference(net, input_tensor, weights,
 
 
 def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
-                             cycle_cap: int = DEFAULT_EXEC_CAP) -> np.ndarray:
+                             cycle_cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
     """Run the whole network inside one flat arena with modular addressing.
 
-    Each layer reads its input at the planned input base and commits outputs
-    at the planned output base, window by window.  In ``checked`` mode a
-    per-word shadow map records the last window that still reads each live
-    input word (residual carry words count as live for the whole layer);
-    a write landing on a word whose last reader lies ahead raises
-    :class:`ClobberError` with the layer, block and address of the first
-    violation, and a word written twice within one layer is reported the
-    same way (an arena too small to hold the output would silently wrap).
+    Each layer reads its input at the planned input base; its output word
+    ``k`` lands at ``(output_base + k) % arena_size`` and commits with window
+    ``k // c_out``, after that window's reads.  A write is *early* when the
+    word it lands on is still due to be read by a later window (residual
+    carry words count as read by window ``x_out * y_out``, past the last),
+    or when the layer already wrote that word (its output wraps the arena).
+
+    In ``checked`` mode the first early write raises :class:`ClobberError`
+    with the layer, block and address, the writing window and the victim's
+    last reader.  Windows run in batches that end at every early window, so
+    an unchecked run of a broken plan gives exactly the window-by-window
+    result.  Arithmetic is int64 and wraps modulo 2**64, as in the reference.
     """
     if net.packing != 1:
         raise PackingError("execution models one datum per memory word (packing must be 1)")
     _check_exec_cap(net, cycle_cap)
     x, checked_w = _check_vectors(net, input_tensor, weights)
     size = plan.arena_size
+    for lp in plan.layer_plans:
+        if lp.m_in > size:
+            raise DimensionMismatchError(
+                f"layer {lp.index + 1}: {lp.m_in} input words exceed the {size}-word arena")
     arena = np.zeros(size, dtype=np.int64)
-
-    base = plan.layer_plans[0].input_base
-    flat = x.reshape(-1)
-    for a in range(flat.size):
-        arena[(base + a) % size] = flat[a]
-
+    arena[(plan.layer_plans[0].input_base + np.arange(x.size)) % size] = x.reshape(-1)
     for idx, (layer, (w, b), lp) in enumerate(zip(net.layers, checked_w, plan.layer_plans)):
-        dd = derive_dims(layer)
-        ib, ob = lp.input_base, lp.output_base
-        cpg_in = layer.c_in // layer.groups
-        cpg_out = layer.c_out // layer.groups
+        _run_layer_in_arena(idx, layer, w, b, lp, arena, checked)
+    last = net.layers[-1]
+    dd = derive_dims(last)
+    out = arena[(plan.layer_plans[-1].output_base + np.arange(dd.m_out)) % size]
+    return out.reshape(dd.y_out, dd.x_out, last.c_out)
 
-        live = None
-        if checked:
-            live = {}
-            lrw = _last_read_window(layer)
-            for a in range(lrw.size):
-                if lrw[a] >= 0:
-                    live[(ib + a) % size] = int(lrw[a])
-            m_conv = layer.y_in * layer.x_in * layer.c_in
-            for a in range(m_conv, dd.m_in):  # residual carry: live throughout
-                live[(ib + a) % size] = dd.x_out * dd.y_out
-            written = set()
 
-        w_idx = 0
-        for y_out in range(dd.y_out):
-            y0 = y_out * layer.s_y - layer.p_y
-            for x_out in range(dd.x_out):
-                x0 = x_out * layer.s_x - layer.p_x
-                outs = []
-                for c_out in range(layer.c_out):
-                    group = c_out // cpg_out
-                    acc = int(b[c_out])
-                    for k_y in range(layer.k_y):
-                        y = y0 + k_y
-                        if not 0 <= y < layer.y_in:
-                            continue
-                        for k_x in range(layer.k_x):
-                            x_ = x0 + k_x
-                            if not 0 <= x_ < layer.x_in:
-                                continue
-                            a = (y * layer.x_in + x_) * layer.c_in + group * cpg_in
-                            for c in range(cpg_in):
-                                acc += int(arena[(ib + a + c) % size]) * int(
-                                    w[c_out, k_y, k_x, c]
-                                )
-                    outs.append(acc)
-                # all outputs of this window commit after its final read
-                for c_out, val in enumerate(outs):
-                    k = w_idx * layer.c_out + c_out
-                    word = (ob + k) % size
-                    if checked:
-                        last = live.get(word)
-                        if last is not None and last > w_idx:
-                            raise ClobberError(idx, k, word)
-                        live.pop(word, None)
-                        if word in written:
-                            raise ClobberError(idx, k, word)
-                        written.add(word)
-                    arena[word] = val
-                w_idx += 1
+def _run_layer_in_arena(idx, layer, w, b, lp, arena, checked) -> None:
+    dd = derive_dims(layer)
+    size, c_out = arena.size, layer.c_out
+    windows = dd.x_out * dd.y_out
+    lrw = _last_read_window(layer)
+    # a window's tap addresses relative to its top-left input word
+    taps = ((np.arange(layer.k_y)[:, None] * layer.x_in + np.arange(layer.k_x))[..., None]
+            * layer.c_in + np.arange(layer.c_in))
+    step = max(1, _BATCH_WORDS // (taps.size + c_out))
+    for c0 in range(0, windows, step):
+        c1 = min(c0 + step, windows)
+        k = np.arange(c0 * c_out, c1 * c_out)
+        words = (lp.output_base + k) % size
+        # the last window due to read each landing word; carry words outlive
+        # every window
+        a = (words - lp.input_base) % size
+        victim = np.where(a < lrw.size, lrw[np.minimum(a, lrw.size - 1)],
+                          np.where(a < dd.m_in, windows, -1))
+        early = np.flatnonzero((victim > k // c_out) | (k >= size))
+        if checked and early.size:
+            e = early[0]
+            raise ClobberError(idx, int(k[e]), int(words[e]), window=int(k[e] // c_out),
+                               last_reader=int(victim[e]) if k[e] < size else None)
+        # a batch ends after each window that writes early
+        w0 = c0
+        for w1 in [*(k[early] // c_out + 1).tolist(), c1]:
+            if w1 > w0:
+                _run_windows(layer, dd, w, b, lp, arena, taps, w0, w1)
+                w0 = w1
 
-    last_lp = plan.layer_plans[-1]
-    last_dd = derive_dims(net.layers[-1])
-    out = np.empty(last_dd.m_out, dtype=np.int64)
-    for e in range(last_dd.m_out):
-        out[e] = arena[(last_lp.output_base + e) % size]
-    return out.reshape(last_dd.y_out, last_dd.x_out, net.layers[-1].c_out)
+
+def _run_windows(layer, dd, w, b, lp, arena, taps, w0, w1) -> None:
+    """Windows ``w0 .. w1 - 1``: one gather, one contraction, one scatter.
+
+    Valid when none of these windows but the last writes early: then no
+    window in the batch reads a word an earlier one of them wrote.
+    """
+    n = np.arange(w0, w1)
+    y0 = n // dd.x_out * layer.s_y - layer.p_y
+    x0 = n % dd.x_out * layer.s_x - layer.p_x
+    ys = y0[:, None] + np.arange(layer.k_y)
+    xs = x0[:, None] + np.arange(layer.k_x)
+    inside = (((ys >= 0) & (ys < layer.y_in))[:, :, None]
+              & ((xs >= 0) & (xs < layer.x_in))[:, None, :])
+    origin = lp.input_base + (y0 * layer.x_in + x0) * layer.c_in
+    patch = arena[(origin[:, None, None, None] + taps) % arena.size]
+    patch *= inside[..., None]  # padded taps read nothing
+    patch = patch.reshape(n.size, layer.k_y, layer.k_x, layer.groups, -1)
+    out = np.einsum("nijgc,goijc->ngo", patch, w).reshape(n.size, layer.c_out) + b
+    k = np.arange(w0 * layer.c_out, w1 * layer.c_out)
+    arena[(lp.output_base + k) % arena.size] = out.reshape(-1)
 
 
 def seeded_test_vectors(net, seed: int, low: int = -8, high: int = 8):

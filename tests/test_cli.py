@@ -132,6 +132,16 @@ class TestExec:
         assert code == 1
         assert "CLOBBER" in out
         assert "arena address" in out
+        assert "windows before its last reader" in out
+
+    def test_overflowing_corrupted_plan_mismatches(self, capsys):
+        # the corrupted plan feeds outputs back into later reads until the
+        # values pass 2**63; int64 wraparound turns that into a mismatch
+        code, out, err = run_cli(capsys, "exec", str(FIXTURES / "overflow_chain.net"),
+                                 "--corrupt-offset", "4")
+        assert code == 1
+        assert "MISMATCH" in out
+        assert not err
 
     def test_oversized_network_refused(self, capsys):
         code, _, err = run_cli(capsys, "exec", str(bundled_network_path("dmcnn_vd")))

@@ -1,5 +1,6 @@
 """Brute-force lifetime oracle and the two executors."""
 
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -12,19 +13,22 @@ from actplan import (
     NetworkSpec,
     SizeLimitError,
     SweepBounds,
+    bundled_network_path,
     execute_network_in_arena,
     execute_network_reference,
     min_offset,
     min_safe_offset_bruteforce,
+    parse_network_file,
     plan_network,
     plan_with_offsets,
+    random_network,
     read_pointer_at,
     seeded_test_vectors,
     sweep_layer_configs,
     verify_layer,
 )
 
-from conftest import loop_nest_trace
+from conftest import loop_nest_exec, loop_nest_trace
 
 
 def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1):
@@ -200,6 +204,7 @@ class TestExecutors:
             execute_network_in_arena(net, bad, x, weights, checked=True)
         assert exc.value.layer_index == 0
         assert 0 <= exc.value.address < plan.arena_size
+        assert exc.value.window < exc.value.last_reader
         # unchecked execution produces a wrong result rather than raising
         got = execute_network_in_arena(net, bad, x, weights, checked=False)
         assert not np.array_equal(got, execute_network_reference(net, x, weights))
@@ -238,9 +243,96 @@ class TestExecutors:
             execute_network_reference(net, x, [(w, None)])
 
     def test_exec_cap(self):
-        big = LayerSpec(x_in=64, y_in=64, c_in=64, k_x=3, k_y=3, s_x=1, s_y=1,
-                        p_x=1, p_y=1, c_out=64)
+        # 256x256 pixels, 9x9 taps, 1024 output channels: 5.4e9 MAC cycles
+        big = LayerSpec(x_in=256, y_in=256, c_in=1, k_x=9, k_y=9, s_x=1, s_y=1,
+                        p_x=4, p_y=4, c_out=1024)
         net = NetworkSpec("big", (big,))
-        x = np.zeros((64, 64, 64), dtype=np.int64)
+        x = np.zeros((256, 256, 1), dtype=np.int64)
         with pytest.raises(SizeLimitError):
             execute_network_reference(net, x, identity_weights(net))
+        with pytest.raises(SizeLimitError):
+            execute_network_in_arena(net, plan_network(net), x, identity_weights(net))
+
+    def test_matches_window_by_window_loop(self):
+        # random chains, half of them with residual carries, each run at its
+        # plan and at three sets of offsets lowered by random amounts, the
+        # last inside an arena shrunk to the largest input: checked runs
+        # clobber at the same (layer, block, address) as the loop, and
+        # unchecked runs give the same words
+        clobbers = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            net = random_network(rng)
+            if seed % 2:
+                net = NetworkSpec(net.name, tuple(
+                    replace(layer, residual_carry_words=rng.randint(0, 4))
+                    for layer in net.layers))
+            plan = plan_network(net)
+            x, weights = seeded_test_vectors(net, seed=seed)
+            assert np.array_equal(execute_network_reference(net, x, weights),
+                                  loop_nest_exec(net, plan, x, weights))
+            for trial in range(4):
+                offsets = [lp.d if trial == 0 else rng.randint(0, lp.d)
+                           for lp in plan.layer_plans]
+                size = plan.arena_size
+                if trial == 3:
+                    size = max(lp.m_in for lp in plan.layer_plans)
+                p = plan_with_offsets(net, offsets, arena_size=size)
+                try:
+                    loop_nest_exec(net, p, x, weights, checked=True)
+                    want = None
+                except ClobberError as exc:
+                    want = (exc.layer_index, exc.block, exc.address)
+                    clobbers += 1
+                try:
+                    execute_network_in_arena(net, p, x, weights, checked=True)
+                    got = None
+                except ClobberError as exc:
+                    got = (exc.layer_index, exc.block, exc.address)
+                assert got == want, (seed, offsets, size)
+                assert np.array_equal(execute_network_in_arena(net, p, x, weights),
+                                      loop_nest_exec(net, p, x, weights)), (seed, offsets, size)
+        assert clobbers > 100
+
+    def test_output_wrapping_the_arena_clobbers(self):
+        # one pixel, two output words, a one-word arena: the second word
+        # lands on the first
+        net = NetworkSpec("wrap", (square(1, c_out=2),))
+        x, weights = seeded_test_vectors(net, seed=0)
+        tiny = plan_with_offsets(net, [0], arena_size=1)
+        with pytest.raises(ClobberError, match="second time") as exc:
+            execute_network_in_arena(net, tiny, x, weights, checked=True)
+        assert (exc.value.block, exc.value.window, exc.value.last_reader) == (1, 0, None)
+        with pytest.raises(ClobberError) as loop:
+            loop_nest_exec(net, tiny, x, weights, checked=True)
+        assert (loop.value.block, loop.value.address) == (exc.value.block, exc.value.address)
+        got = execute_network_in_arena(net, tiny, x, weights)
+        assert np.array_equal(got, loop_nest_exec(net, tiny, x, weights))
+
+    def test_arena_smaller_than_input_refused(self):
+        net = NetworkSpec("n", (square(4),))
+        x, weights = seeded_test_vectors(net, seed=0)
+        small = plan_with_offsets(net, [1], arena_size=15)
+        with pytest.raises(DimensionMismatchError):
+            execute_network_in_arena(net, small, x, weights)
+
+
+class TestFullScale:
+    """Checked in-arena execution of a bundled network at its real size."""
+
+    def test_mobilenet_v2(self):
+        net = parse_network_file(bundled_network_path("mobilenet_v2"))
+        plan = plan_network(net)
+        x, weights = seeded_test_vectors(net, seed=0)
+        got = execute_network_in_arena(net, plan, x, weights, checked=True)
+        assert np.array_equal(got, execute_network_reference(net, x, weights))
+        offsets = [lp.d for lp in plan.layer_plans]
+        bound = [i for i, d in enumerate(offsets) if d > 1]
+        assert len(bound) == 6
+        for i in bound:
+            lowered = list(offsets)
+            lowered[i] -= 1
+            bad = plan_with_offsets(net, lowered, arena_size=plan.arena_size)
+            with pytest.raises(ClobberError) as exc:
+                execute_network_in_arena(net, bad, x, weights, checked=True)
+            assert exc.value.layer_index == i
