@@ -13,7 +13,6 @@ from actplan import (
     min_offset,
     paper_offset,
     read_pointer_at,
-    write_pointer_at,
 )
 
 layer = LayerSpec(x_in=4, y_in=4, c_in=1, k_x=3, k_y=3, s_x=1, s_y=1,
@@ -22,15 +21,15 @@ dd = derive_dims(layer)
 d = paper_offset(layer)
 
 print(f"layer: 4x4 image, 3x3 kernel, same padding")
-print(f"block = {dd.block_cycles} MAC cycles, {dd.t_len} output blocks")
+print(f"block = {dd.block_cycles} MAC cycles, {dd.m_out} output blocks")
 print(f"pointer-model offset d = {d} words (planned offset {min_offset(layer)}), "
       f"pair footprint = {dd.m_in + d} words (ping-pong would use {dd.m_in + dd.m_out})\n")
 
 span = dd.m_in + d
 print(f"{'block':>5} {'cycle':>6} {'write':>6} {'read':>5}   arena [{-d} .. {dd.m_in})")
-for k in range(dd.t_len):
+for k in range(dd.m_out):
     t = k * dd.block_cycles
-    pw = write_pointer_at(t, layer, p_w0=-d)
+    pw = k - d  # block k writes output word k, d words below the input base
     pr = read_pointer_at(t, layer)
     cells = []
     for a in range(-d, dd.m_in):

@@ -20,16 +20,11 @@ from .errors import (
 from .model import (
     DerivedDims,
     LayerSpec,
-    PointerParams,
     apply_packing,
     derive_dims,
-    min_layer_memory,
     min_offset,
     paper_offset,
-    ping_pong_pair_memory,
-    pointer_params,
     read_pointer_at,
-    write_pointer_at,
 )
 from .netfile import bundled_network_path, bundled_networks, parse_network_file, parse_network_text
 from .oracle import (
@@ -46,20 +41,11 @@ from .planner import (
     NetworkSpec,
     count_parameters,
     packed_layers,
-    pingpong_network,
     plan_network,
     plan_with_offsets,
     tightest_layer,
 )
-from .report import (
-    humanize_words,
-    plan_from_dict,
-    plan_from_json,
-    plan_to_dict,
-    plan_to_json,
-    render_memory_map,
-    render_plan_text,
-)
+from .report import plan_to_dict, plan_to_json, render_memory_map, render_plan_text
 from .sweep import (
     ExecSummary,
     SweepBounds,
@@ -75,16 +61,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ActplanError", "ChainMismatchError", "ClobberError", "DimensionMismatchError",
     "InvalidLayerError", "NetworkFileError", "PackingError", "SizeLimitError",
-    "LayerSpec", "DerivedDims", "PointerParams",
-    "derive_dims", "pointer_params", "write_pointer_at", "read_pointer_at", "paper_offset",
-    "min_offset", "min_layer_memory", "ping_pong_pair_memory", "apply_packing",
+    "LayerSpec", "DerivedDims",
+    "derive_dims", "read_pointer_at", "paper_offset", "min_offset", "apply_packing",
     "OracleReport", "min_safe_offset_bruteforce", "verify_layer",
     "execute_network_reference", "execute_network_in_arena", "seeded_test_vectors",
     "NetworkSpec", "LayerPlan", "MemoryPlan", "packed_layers", "plan_network",
-    "plan_with_offsets", "pingpong_network", "count_parameters", "tightest_layer",
+    "plan_with_offsets", "count_parameters", "tightest_layer",
     "parse_network_file", "parse_network_text", "bundled_network_path", "bundled_networks",
-    "plan_to_dict", "plan_from_dict", "plan_to_json", "plan_from_json",
-    "render_plan_text", "render_memory_map", "humanize_words",
+    "plan_to_dict", "plan_to_json", "render_plan_text", "render_memory_map",
     "SweepBounds", "SweepSummary", "ExecSummary",
     "sweep_layer_configs", "run_layer_sweep", "random_network", "run_exec_sweep",
     "__version__",

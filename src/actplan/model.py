@@ -1,50 +1,41 @@
-"""Layer geometry and the closed-form pointer model for overlapping buffers.
+"""Layer geometry and the closed-form offset for overlapping buffers.
 
 A convolution layer whose activations are stored depth-first (all channels of
 a pixel, then pixels along x, then rows along y) reads its input through a
 sliding window that only moves forward in memory.  Addresses behind the
 window are dead and can be recycled for output words, so the output region of
-a layer may start *below* the input region and chase it upward.  This module
-models the two addresses that matter as exact integer functions of the MAC
-cycle counter ``t`` (one multiply-accumulate per cycle):
+a layer may start *below* the input region and chase it upward.
 
-* write pointer  -- address of the output word currently being accumulated;
-  it advances one word per ``block_cycles`` cycles.
-* read frontier  -- lowest input address that any upcoming window still
-  needs; it advances ``s_x * c_in`` words per window step, skips rows
-  according to ``s_y``, starts below zero when the top rows are padding and
-  is pulled back when the window run-out at the right edge exceeds the image.
-
-Everything is computed with integer floor/ceil arithmetic (velocities are
-exact rationals), so results are bit-stable for arbitrarily large layers.
-These are the paper's equations; ``paper_offset`` is the offset they give.
+The paper models this with two pointers over the MAC cycle counter ``t`` (one
+multiply-accumulate per cycle): block ``k`` of ``block_cycles`` cycles writes
+output word ``k``, and the read frontier -- the lowest input address that any
+upcoming window still needs -- advances ``s_x * c_in`` words per window step,
+skips rows according to ``s_y``, starts below zero when the top rows are
+padding and is pulled back when the window run-out at the right edge exceeds
+the image.  ``read_pointer_at`` is the frontier in integer floor/ceil
+arithmetic, bit-stable for arbitrarily large layers, and ``paper_offset`` is
+the offset the paper's equations give.
 
 Plans do not use the pointer model.  ``min_offset`` is the exact lifetime
 minimum, a separable formula over the last window that reads each input row
-and column; ``min_layer_memory`` turns it into the joint memory footprint of
-the layer's input/output pair.
+and column; the planner turns it into each layer's joint footprint
+``max(m_in + d, m_out)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import InvalidLayerError, PackingError
 
 __all__ = [
     "LayerSpec",
     "DerivedDims",
-    "PointerParams",
     "derive_dims",
-    "pointer_params",
-    "write_pointer_at",
     "read_pointer_at",
     "min_offset",
     "paper_offset",
-    "min_layer_memory",
-    "ping_pong_pair_memory",
     "apply_packing",
 ]
 
@@ -102,8 +93,8 @@ class DerivedDims:
     """Sizes derived from a :class:`LayerSpec`.
 
     ``m_in`` counts the words live on the input side (convolution input plus
-    any residual carry); ``m_out`` and ``t_len`` both equal the number of
-    output elements, the latter naming the block index range.
+    any residual carry); ``m_out`` is the number of output elements, one per
+    accumulation block.
     """
 
     x_out: int
@@ -111,61 +102,26 @@ class DerivedDims:
     m_in: int
     m_out: int
     block_cycles: int
-    t_len: int
 
 
 def derive_dims(layer: LayerSpec) -> DerivedDims:
     """Output geometry, word counts and per-block cycle count for a layer."""
     x_out = (2 * layer.p_x + layer.x_in - layer.k_x) // layer.s_x + 1
     y_out = (2 * layer.p_y + layer.y_in - layer.k_y) // layer.s_y + 1
-    m_out = x_out * y_out * layer.c_out
     return DerivedDims(
         x_out=x_out,
         y_out=y_out,
         m_in=layer.x_in * layer.y_in * layer.c_in + layer.residual_carry_words,
-        m_out=m_out,
+        m_out=x_out * y_out * layer.c_out,
         block_cycles=(layer.c_in // layer.groups) * layer.k_x * layer.k_y,
-        t_len=m_out,
     )
-
-
-@dataclass(frozen=True)
-class PointerParams:
-    """Average pointer velocities (exact rationals) and start addresses."""
-
-    v_pw: Fraction
-    v_pr: Fraction
-    p_w0: int
-    p_r0: int
-
-
-def pointer_params(layer: LayerSpec, p_w0: int = 0, p_r0: int = 0) -> PointerParams:
-    """Average velocities of both pointers in words per MAC cycle."""
-    dd = derive_dims(layer)
-    b = dd.block_cycles
-    v_pw = Fraction(1, b)
-    v_pr = Fraction(layer.s_x * layer.c_in, layer.c_out * b) + Fraction(
-        (layer.s_y - 1) * layer.c_in * layer.x_in, dd.x_out * layer.c_out * b
-    )
-    return PointerParams(v_pw=v_pw, v_pr=v_pr, p_w0=p_w0, p_r0=p_r0)
 
 
 def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def write_pointer_at(t: int, layer: LayerSpec, p_w0: int = 0) -> int:
-    """Address of the pending output word at cycle ``t``.
-
-    Constant within a block; steps up by one word each time a full kernel
-    accumulation completes.
-    """
-    if t < 0:
-        raise ValueError("cycle index must be >= 0")
-    return t // derive_dims(layer).block_cycles + p_w0
-
-
-def read_pointer_at(t: int, layer: LayerSpec, p_r0: int = 0) -> int:
+def read_pointer_at(t: int, layer: LayerSpec) -> int:
     """Lowest input address still needed by upcoming windows, at cycle ``t``.
 
     Built from four integer terms: the x advance of the window (one
@@ -190,7 +146,7 @@ def read_pointer_at(t: int, layer: LayerSpec, p_r0: int = 0) -> int:
     top_pad = layer.p_y * layer.c_in * layer.x_in
     overshoot = dd.x_out * layer.s_x - layer.x_in
     side = _ceildiv(t, row) * max(0, overshoot * layer.s_x * layer.c_in)
-    return max(0, x_term + y_term - top_pad - side) + p_r0
+    return max(0, x_term + y_term - top_pad - side)
 
 
 def paper_offset(layer: LayerSpec) -> int:
@@ -270,31 +226,13 @@ def min_offset(layer: LayerSpec) -> int:
     return d
 
 
-def min_layer_memory(layer: LayerSpec) -> int:
-    """Joint footprint (words) of the layer's input and output regions.
-
-    The output region starts ``min_offset`` words below the input base; it
-    ends inside the input region unless the layer emits more words than
-    ``m_in + d`` spans (channel expansion, windows over padding), so the
-    pair needs ``max(m_in + d, m_out)`` words.
-    """
-    dd = derive_dims(layer)
-    return max(dd.m_in + min_offset(layer), dd.m_out)
-
-
-def ping_pong_pair_memory(layer: LayerSpec) -> int:
-    """Footprint of the same pair under disjoint (ping-pong) buffering."""
-    dd = derive_dims(layer)
-    return dd.m_in + dd.m_out
-
-
 def apply_packing(layer: LayerSpec, q: int) -> LayerSpec:
     """Rescale a layer so all addresses count packed words of ``q`` entries.
 
     ``q`` must divide both channel counts so that packed words never straddle
     pixel boundaries on either side of the layer; channel counts and group
     count shrink accordingly and every address-valued result of this module
-    is then expressed in packed words (pointer velocities scale by ``1/q``).
+    is then expressed in packed words.
     Residual carry words are rounded up to whole packed words.
     """
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:

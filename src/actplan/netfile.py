@@ -16,7 +16,6 @@ agree.  Optional per-layer keys: ``groups``, ``residual_carry_words``.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import yaml
@@ -45,19 +44,12 @@ def parse_network_file(path) -> NetworkSpec:
 
 def parse_network_text(text: str, source: str = "<string>") -> NetworkSpec:
     """Parse network file content (YAML; JSON is a YAML subset and accepted)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise NetworkFileError(exc.msg, location=f"{source}: line {exc.lineno}") from exc
-    else:
-        try:
-            doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            loc = f"{source}: line {mark.line + 1}" if mark else source
-            raise NetworkFileError(str(getattr(exc, "problem", exc)), location=loc) from exc
+    try:
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        loc = f"{source}: line {mark.line + 1}" if mark else source
+        raise NetworkFileError(str(getattr(exc, "problem", exc)), location=loc) from exc
     return _build(doc, source)
 
 

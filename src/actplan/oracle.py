@@ -35,7 +35,7 @@ __all__ = [
     "seeded_test_vectors",
 ]
 
-# Cap on MAC cycles (t_len * block_cycles summed over the layers checked).
+# Cap on MAC cycles (m_out * block_cycles summed over the layers checked).
 DEFAULT_CYCLE_CAP = 4_000_000_000
 
 
@@ -54,7 +54,7 @@ class OracleReport:
 
 def _check_cap(layer: LayerSpec, cap: int) -> None:
     dd = derive_dims(layer)
-    cycles = dd.t_len * dd.block_cycles
+    cycles = dd.m_out * dd.block_cycles
     if cycles > cap:
         raise SizeLimitError(
             f"layer needs {cycles} MAC cycles, above the brute-force cap of {cap}; "
@@ -150,7 +150,7 @@ def _check_exec_cap(net, cap: int) -> None:
     total = 0
     for layer in net.layers:
         dd = derive_dims(layer)
-        total += dd.t_len * dd.block_cycles
+        total += dd.m_out * dd.block_cycles
     if total > cap:
         raise SizeLimitError(
             f"network needs {total} MAC cycles, above the execution cap of {cap}; "
@@ -309,19 +309,15 @@ def _run_windows(layer, dd, w, b, lp, arena, taps, w0, w1) -> None:
     arena[(lp.output_base + k) % arena.size] = out.reshape(-1)
 
 
-def seeded_test_vectors(net, seed: int, low: int = -8, high: int = 8):
-    """Deterministic random input and weights for a network (inclusive range)."""
+def seeded_test_vectors(net, seed: int):
+    """Deterministic random input and weights for a network, each in -8..8."""
     rng = np.random.default_rng(seed)
     first = net.layers[0]
-    x = rng.integers(low, high + 1, size=(first.y_in, first.x_in, first.c_in), dtype=np.int64)
+    x = rng.integers(-8, 9, size=(first.y_in, first.x_in, first.c_in), dtype=np.int64)
     weights = []
     for layer in net.layers:
-        w = rng.integers(
-            low,
-            high + 1,
-            size=(layer.c_out, layer.k_y, layer.k_x, layer.c_in // layer.groups),
-            dtype=np.int64,
-        )
-        b = rng.integers(low, high + 1, size=layer.c_out, dtype=np.int64)
+        w = rng.integers(-8, 9, size=(layer.c_out, layer.k_y, layer.k_x,
+                                     layer.c_in // layer.groups), dtype=np.int64)
+        b = rng.integers(-8, 9, size=layer.c_out, dtype=np.int64)
         weights.append((w, b))
     return x, weights

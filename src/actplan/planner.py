@@ -22,7 +22,6 @@ __all__ = [
     "packed_layers",
     "plan_network",
     "plan_with_offsets",
-    "pingpong_network",
     "count_parameters",
     "tightest_layer",
 ]
@@ -119,7 +118,9 @@ def _build_plan(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
         )
         base = out_base
 
-    pingpong = pingpong_network(net)
+    # the disjoint baseline keeps each layer's input (with residual
+    # carries) and output live at once
+    pingpong = max(dd.m_in + dd.m_out for dd in dims)
     params = count_parameters(net)
     savings_act = (pingpong - size) / pingpong * 100.0
     savings_total = ((params + pingpong) - (params + size)) / (params + pingpong) * 100.0
@@ -164,15 +165,6 @@ def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
     return _build_plan(net, offsets, arena_size=arena_size)
 
 
-def pingpong_network(net: NetworkSpec) -> int:
-    """Worst adjacent live pair under disjoint buffering (packed words).
-
-    Every layer keeps its input (with residual carries) and its output live
-    at once, so the baseline is the maximum of ``m_in + m_out`` over layers.
-    """
-    return max(derive_dims(layer).m_in + derive_dims(layer).m_out for layer in packed_layers(net))
-
-
 def count_parameters(net: NetworkSpec) -> int:
     """Weight and bias words of the network, one word per parameter."""
     total = 0
@@ -182,5 +174,11 @@ def count_parameters(net: NetworkSpec) -> int:
 
 
 def tightest_layer(plan: MemoryPlan) -> int:
-    """Index of the layer with the largest ``m_in + d`` (first on ties)."""
-    return max(plan.layer_plans, key=lambda lp: (lp.m_min_layer, -lp.index)).index
+    """Index of the first layer whose footprint ``max(m_in + d, m_out)`` is
+    largest.
+
+    In a plan from :func:`plan_network` that footprint equals the arena size,
+    so this is the first layer that sets the arena.
+    """
+    return max(plan.layer_plans,
+               key=lambda lp: (max(lp.m_min_layer, lp.m_out), -lp.index)).index

@@ -1,20 +1,16 @@
-"""Plan reports: JSON round-trip, human-readable tables and memory maps."""
+"""Plan reports: JSON, human-readable tables and memory maps."""
 
 from __future__ import annotations
 
 import json
 
-from .errors import NetworkFileError
-from .planner import LayerPlan, MemoryPlan
+from .planner import MemoryPlan
 
 __all__ = [
     "plan_to_dict",
-    "plan_from_dict",
     "plan_to_json",
-    "plan_from_json",
     "render_plan_text",
     "render_memory_map",
-    "humanize_words",
 ]
 
 
@@ -42,46 +38,11 @@ def plan_to_dict(plan: MemoryPlan) -> dict:
     }
 
 
-def plan_from_dict(doc: dict) -> MemoryPlan:
-    try:
-        layers = tuple(
-            LayerPlan(
-                index=row["index"],
-                m_in=row["m_in"],
-                m_out=row["m_out"],
-                d=row["d"],
-                m_min_layer=row["m_min_layer"],
-                input_base=row["input_base"],
-                output_base=row["output_base"],
-            )
-            for row in doc["layers"]
-        )
-        return MemoryPlan(
-            name=doc["name"],
-            packing=doc["packing"],
-            arena_size=doc["arena_size"],
-            layer_plans=layers,
-            pingpong_size=doc["pingpong_size"],
-            parameter_words=doc["parameter_words"],
-            savings_activations_pct=doc["savings_activations_pct"],
-            savings_total_pct=doc["savings_total_pct"],
-        )
-    except KeyError as exc:
-        raise NetworkFileError(f"plan report missing key {exc}") from exc
-
-
 def plan_to_json(plan: MemoryPlan) -> str:
     return json.dumps(plan_to_dict(plan), indent=2)
 
 
-def plan_from_json(text: str) -> MemoryPlan:
-    try:
-        return plan_from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise NetworkFileError(exc.msg, location=f"line {exc.lineno}") from exc
-
-
-def humanize_words(words: int) -> str:
+def _humanize_words(words: int) -> str:
     """Short k/M form with one decimal, as used in result tables."""
     if words >= 10**6:
         return f"{words / 10**6:.1f}M"
@@ -90,12 +51,12 @@ def humanize_words(words: int) -> str:
     return str(words)
 
 
-def render_plan_text(plan: MemoryPlan, memory_map: bool = False, width: int = 64) -> str:
+def render_plan_text(plan: MemoryPlan, memory_map: bool = False) -> str:
     lines = [
         f"network          {plan.name}" + (f"   (packing {plan.packing}/word)" if plan.packing != 1 else ""),
-        f"arena            {plan.arena_size:,} words ({humanize_words(plan.arena_size)})",
-        f"ping-pong        {plan.pingpong_size:,} words ({humanize_words(plan.pingpong_size)})",
-        f"parameters       {plan.parameter_words:,} words ({humanize_words(plan.parameter_words)})",
+        f"arena            {plan.arena_size:,} words ({_humanize_words(plan.arena_size)})",
+        f"ping-pong        {plan.pingpong_size:,} words ({_humanize_words(plan.pingpong_size)})",
+        f"parameters       {plan.parameter_words:,} words ({_humanize_words(plan.parameter_words)})",
         f"savings          {plan.savings_activations_pct:.1f}% activations, "
         f"{plan.savings_total_pct:.1f}% total",
         "",
@@ -109,7 +70,7 @@ def render_plan_text(plan: MemoryPlan, memory_map: bool = False, width: int = 64
         )
     if memory_map:
         lines.append("")
-        lines.extend(render_memory_map(plan, width=width).splitlines())
+        lines.extend(render_memory_map(plan).splitlines())
     return "\n".join(lines) + "\n"
 
 

@@ -129,14 +129,16 @@ def run_layer_sweep(bounds: SweepBounds = SweepBounds(),
     return summary
 
 
-def random_network(rng: random.Random, n_layers: int | None = None,
-                   max_dim: int = 6, max_channels: int = 3) -> NetworkSpec:
-    """A seeded random chain of 3..6 sweep-domain layers."""
+def random_network(rng: random.Random, n_layers: int | None = None) -> NetworkSpec:
+    """A seeded random chain of 3..6 sweep-domain layers.
+
+    The first input is at most 6x6 and every layer has at most 3 channels.
+    """
     if n_layers is None:
         n_layers = rng.randint(3, 6)
-    x = rng.randint(2, max_dim)
-    y = rng.randint(2, max_dim)
-    c = rng.randint(1, max_channels)
+    x = rng.randint(2, 6)
+    y = rng.randint(2, 6)
+    c = rng.randint(1, 3)
     layers = []
     for _ in range(n_layers):
         while True:
@@ -145,7 +147,7 @@ def random_network(rng: random.Random, n_layers: int | None = None,
             p = rng.randint(0, 1)
             if k <= x + 2 * p and k <= y + 2 * p:
                 break
-        c_out = rng.randint(1, max_channels)
+        c_out = rng.randint(1, 3)
         groups = 1
         if c > 1 and c_out % c == 0 and rng.random() < 0.25:
             groups = c

@@ -93,7 +93,7 @@ def test_c2_minimality_witness(exec_sweep):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="in 65 of the 100 draws the arena-defining layer sits at the one-word "
+    reason="in 63 of the 100 draws the arena-defining layer sits at the one-word "
     "floor (its writes trail its reads by construction), so lowering it to zero "
     "is still safe; the exactness of the offsets is witnessed against the "
     "lifetime minimum instead (previous test)",

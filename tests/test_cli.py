@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from actplan import bundled_network_path, plan_from_json
+from actplan import bundled_network_path, parse_network_file, plan_network, plan_to_dict
 from actplan.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -22,9 +22,11 @@ class TestPlan:
         code, out, _ = run_cli(capsys, "plan", str(FIXTURES / "tiny_pair.net"),
                                "--format", "json")
         assert code == 0
-        plan = plan_from_json(out)
-        assert plan.arena_size == 21
-        assert plan.pingpong_size == 32
+        doc = json.loads(out)
+        net = parse_network_file(FIXTURES / "tiny_pair.net")
+        assert doc == plan_to_dict(plan_network(net))
+        assert doc["arena_size"] == 21
+        assert doc["pingpong_size"] == 32
 
     def test_plan_text_with_map(self, capsys):
         code, out, _ = run_cli(capsys, "plan", str(FIXTURES / "tiny_pair.net"),

@@ -1,28 +1,30 @@
 """Closed-form pointer model: geometry, pointers, offsets, packing."""
 
-from fractions import Fraction
-
 import pytest
 
 from actplan import (
     InvalidLayerError,
     LayerSpec,
+    NetworkSpec,
     PackingError,
     apply_packing,
     derive_dims,
-    min_layer_memory,
     min_offset,
     paper_offset,
-    ping_pong_pair_memory,
-    pointer_params,
+    plan_network,
     read_pointer_at,
-    write_pointer_at,
 )
 
 
 def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1, carry=0):
     return LayerSpec(x_in=edge, y_in=edge, c_in=c_in, k_x=k, k_y=k, s_x=s, s_y=s,
                      p_x=p, p_y=p, c_out=c_out, groups=groups, residual_carry_words=carry)
+
+
+def solo_plan(layer):
+    """The plan of a one-layer network: its arena is the layer's overlapped
+    footprint and its ping-pong size the layer's disjoint footprint."""
+    return plan_network(NetworkSpec("solo", (layer,)))
 
 
 class TestDeriveDims:
@@ -44,7 +46,6 @@ class TestDeriveDims:
         dd = derive_dims(layer)
         assert dd.m_in == 4 * 4 * 3 + 10
         assert dd.m_out == 4 * 4 * 8
-        assert dd.t_len == dd.m_out
         assert dd.block_cycles == 3 * 3 * 3
 
     def test_grouped_block_cycles(self):
@@ -70,20 +71,9 @@ class TestDeriveDims:
 
 
 class TestPointers:
-    def test_write_pointer(self):
-        layer = square(4, k=3, p=1)  # block_cycles = 9
-        assert write_pointer_at(0, layer) == 0
-        assert write_pointer_at(17, layer) == 1
-        assert write_pointer_at(53, layer, p_w0=-5) == 0
-
-    def test_write_pointer_constant_within_block(self):
-        layer = square(4, k=3, p=1)
-        assert len({write_pointer_at(t, layer) for t in range(9, 18)}) == 1
-
     def test_read_pointer_clamped_under_top_padding(self):
         layer = square(4, k=3, p=1)
         assert read_pointer_at(0, layer) == 0
-        assert read_pointer_at(0, layer, p_r0=3) == 3
 
     def test_read_pointer_lockstep_tracks_cycles(self):
         layer = square(4)
@@ -96,21 +86,8 @@ class TestPointers:
         assert read_pointer_at(45, layer) == 1
 
     def test_negative_cycle_rejected(self):
-        layer = square(4)
         with pytest.raises(ValueError):
-            write_pointer_at(-1, layer)
-        with pytest.raises(ValueError):
-            read_pointer_at(-1, layer)
-
-    def test_velocities(self):
-        layer = square(4, c_in=2, k=3, p=1, c_out=4)
-        params = pointer_params(layer)
-        assert params.v_pw == Fraction(1, 18)
-        assert 0 < params.v_pw <= 1
-        assert params.v_pr >= 0
-        # lockstep: both pointers advance one word per cycle
-        lock = pointer_params(square(4))
-        assert lock.v_pw == lock.v_pr == 1
+            read_pointer_at(-1, square(4))
 
 
 class TestMinOffset:
@@ -130,28 +107,29 @@ class TestMinOffset:
         assert min_offset(square(4, k=3, p=1)) == 5
 
     def test_min_layer_memory(self):
-        assert min_layer_memory(square(4)) == 17
-        assert min_layer_memory(square(4, k=3, p=1)) == 21
-        assert min_layer_memory(square(2, c_out=2)) == 8  # m_out > m_in + d: output dominates
+        assert solo_plan(square(4)).arena_size == 17
+        assert solo_plan(square(4, k=3, p=1)).arena_size == 21
+        assert solo_plan(square(2, c_out=2)).arena_size == 8  # m_out > m_in + d: output dominates
 
     def test_ping_pong_pair(self):
-        assert ping_pong_pair_memory(square(4, k=3, p=1)) == 32
-        assert ping_pong_pair_memory(square(7)) == 2 * 49
-        assert ping_pong_pair_memory(square(2, c_out=2)) == 12
+        assert solo_plan(square(4, k=3, p=1)).pingpong_size == 32
+        assert solo_plan(square(7)).pingpong_size == 2 * 49
+        assert solo_plan(square(2, c_out=2)).pingpong_size == 12
 
     def test_carry_inflates_input_only(self):
-        plain = square(4, k=3, p=1)
-        carried = square(4, k=3, p=1, carry=6)
-        assert min_offset(carried) == min_offset(plain)
-        assert min_layer_memory(carried) == min_layer_memory(plain) + 6
-        assert ping_pong_pair_memory(carried) == ping_pong_pair_memory(plain) + 6
+        plain = solo_plan(square(4, k=3, p=1))
+        carried = solo_plan(square(4, k=3, p=1, carry=6))
+        assert carried.layer_plans[0].d == plain.layer_plans[0].d
+        assert carried.arena_size == plain.arena_size + 6
+        assert carried.pingpong_size == plain.pingpong_size + 6
 
     def test_offset_never_exceeds_output(self):
         # d <= m_out makes ping-pong an upper bound for the overlapped pair
         for layer in (square(4, k=3, p=1), square(2, c_out=2), square(2, k=1, p=1),
                       square(5, c_in=2, k=3, p=1, c_out=2)):
             assert min_offset(layer) <= derive_dims(layer).m_out
-            assert min_layer_memory(layer) <= ping_pong_pair_memory(layer)
+            plan = solo_plan(layer)
+            assert plan.arena_size <= plan.pingpong_size
 
     def test_candidate_scan_matches_blockwise_evaluation(self):
         # the paper model's per-row scan must agree with every block start
@@ -168,7 +146,7 @@ class TestMinOffset:
         for layer in layers:
             dd = derive_dims(layer)
             dense = max(
-                k - read_pointer_at(k * dd.block_cycles, layer) for k in range(dd.t_len)
+                k - read_pointer_at(k * dd.block_cycles, layer) for k in range(dd.m_out)
             )
             assert paper_offset(layer) == max(0, dense) + 1, layer
 
@@ -196,7 +174,8 @@ class TestPacking:
         layer = LayerSpec(x_in=64, y_in=64, c_in=64, k_x=3, k_y=3, s_x=1, s_y=1,
                           p_x=1, p_y=1, c_out=64)
         packed = apply_packing(layer, 4)
-        assert pointer_params(packed).v_pw == Fraction(1, 16 * 9)
+        # the write pointer advances one packed word per block
+        assert derive_dims(packed).block_cycles == 16 * 9
 
     def test_depthwise_packs_to_standard(self):
         layer = square(4, c_in=2, k=3, p=1, c_out=2, groups=2)

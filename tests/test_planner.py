@@ -1,5 +1,6 @@
 """Network-level planning: arena size, placements, baseline, savings."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,10 @@ from actplan import (
     derive_dims,
     execute_network_in_arena,
     execute_network_reference,
-    min_layer_memory,
     min_offset,
-    pingpong_network,
     plan_network,
     plan_with_offsets,
+    random_network,
     seeded_test_vectors,
     tightest_layer,
 )
@@ -77,13 +77,15 @@ class TestPlan:
         for lp, layer in zip(plan.layer_plans, net.layers):
             assert lp.output_base == (lp.input_base - lp.d) % size
             assert 0 <= lp.output_base < size
+            assert lp.d == min_offset(layer)
             assert lp.m_min_layer == lp.m_in + lp.d
-            assert max(lp.m_min_layer, lp.m_out) == min_layer_memory(layer) <= size
+            assert max(lp.m_min_layer, lp.m_out) <= size
 
     def test_arena_is_max_over_layers(self):
         layers = (square(4, k=3, p=1, c_out=2), square(4, c_in=2, k=3, p=1, c_out=1))
         both = plan_network(NetworkSpec("n", layers))
-        assert both.arena_size == max(min_layer_memory(l) for l in layers)
+        assert both.arena_size == max(plan_network(NetworkSpec("one", (l,))).arena_size
+                                      for l in layers)
         # dropping the non-maximal layer cannot grow the arena
         solo = plan_network(NetworkSpec("n1", layers[:1]))
         assert solo.arena_size <= both.arena_size
@@ -95,7 +97,6 @@ class TestPlan:
         layer = square(2, k=1, p=1)
         dd = derive_dims(layer)
         assert dd.m_out > dd.m_in + min_offset(layer)
-        assert min_layer_memory(layer) == dd.m_out
         net = NetworkSpec("degen", (layer,))
         plan = plan_network(net)
         assert plan.arena_size == dd.m_out
@@ -110,6 +111,14 @@ class TestPlan:
         plan = plan_network(net)
         assert plan.layer_plans[1].m_min_layer > plan.layer_plans[0].m_min_layer
         assert tightest_layer(plan) == 1
+
+    def test_tightest_layer_sets_the_arena(self):
+        # the 60 output words of layer index 3, not the larger m_in + d (57)
+        # of index 2, set the arena
+        plan = plan_network(random_network(random.Random(95)))
+        lp = plan.layer_plans[tightest_layer(plan)]
+        assert max(lp.m_min_layer, lp.m_out) == plan.arena_size
+        assert lp.index == 3
 
     def test_plan_with_offsets_validation(self):
         net = lockstep_pair(3)
@@ -127,14 +136,14 @@ class TestBaselineAndParams:
         l2 = LayerSpec(x_in=2, y_in=2, c_in=2, k_x=2, k_y=2, s_x=2, s_y=2,
                        p_x=0, p_y=0, c_out=2)
         net = NetworkSpec("n", (l1, l2))
-        assert pingpong_network(net) == 12
+        assert plan_network(net).pingpong_size == 12
 
     def test_two_equal_layers(self):
-        assert pingpong_network(lockstep_pair(4)) == 32
+        assert plan_network(lockstep_pair(4)).pingpong_size == 32
 
     def test_carry_counts_in_baseline(self):
         layer = square(4, k=3, p=1, carry=6)
-        assert pingpong_network(NetworkSpec("c", (layer,))) == 16 + 6 + 16
+        assert plan_network(NetworkSpec("c", (layer,))).pingpong_size == 16 + 6 + 16
 
     def test_parameter_words(self):
         assert count_parameters(NetworkSpec("a", (square(2),))) == 2
