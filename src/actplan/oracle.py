@@ -1,18 +1,16 @@
 """Ground truth for the planner: lifetime brute force and executors.
 
 Nothing here uses the separable offset formula or the pointer model.  The
-minimal safe offset is recomputed from the literal six-loop access pattern of
-a convolution layer (outputs in y, x, c_out order; taps in k_y, k_x, c_in
-order; padded taps read nothing), and whole networks are executed bit-exactly inside one flat arena
-to prove that a plan never destroys data that is still needed.
+minimal safe offset is a maximum over every in-bounds (window, tap) read of a
+convolution layer (windows in y, x order; padded taps read nothing), and whole
+networks are executed bit-exactly inside one flat arena to prove that a plan
+never destroys data that is still needed.
 
-Write timing contract: all ``c_out`` output words of one window position are
-held back and committed together once the window's final tap has been read.
-Every output block of a window re-reads the same input patch, so committing
-any of the window's words early could corrupt the reads of its sibling
-blocks; committing at window end makes an address reusable exactly when its
-last reading *window* has finished.  (For ``c_out == 1`` this coincides with
-committing at block end.)
+Write timing contract: all ``c_out`` output words of one window are committed
+together once its final tap has been read.  Every output block of a window
+re-reads the same input patch, so committing earlier could corrupt the reads
+of its sibling blocks; an address is reusable exactly when its last reading
+*window* has finished.
 """
 
 from __future__ import annotations
@@ -35,7 +33,8 @@ __all__ = [
     "seeded_test_vectors",
 ]
 
-# Cap on MAC cycles (m_out * block_cycles summed over the layers checked).
+# Cap on MAC cycles, m_out * block_cycles: per layer for the oracle, summed
+# over the network's layers for the executors.
 DEFAULT_CYCLE_CAP = 4_000_000_000
 
 
@@ -62,41 +61,44 @@ def _check_cap(layer: LayerSpec, cap: int) -> None:
         )
 
 
-def _last_read_window(layer: LayerSpec) -> np.ndarray:
-    """Index of the last window that reads each input word, -1 if never read.
-
-    Grouping does not matter here: every window that covers a pixel reads all
-    of its channels through one group's output blocks or another's.
-    """
+def _reads(layer: LayerSpec):
+    """Every in-bounds read as row and column terms: window ``wy + wx`` reads
+    pixel ``py + px`` for each row read ``(wy, py)`` and column read ``(wx, px)``."""
     dd = derive_dims(layer)
-    lrw = np.full((layer.y_in, layer.x_in, layer.c_in), -1, dtype=np.int64)
-    w = 0
-    for y_out in range(dd.y_out):
-        y0 = y_out * layer.s_y - layer.p_y
-        ys = slice(max(0, y0), min(layer.y_in, y0 + layer.k_y))
-        for x_out in range(dd.x_out):
-            x0 = x_out * layer.s_x - layer.p_x
-            xs = slice(max(0, x0), min(layer.x_in, x0 + layer.k_x))
-            if ys.start < ys.stop and xs.start < xs.stop:
-                lrw[ys, xs, :] = w
-            w += 1
-    return lrw.reshape(-1)
+    axes = []
+    for n_out, s, p, k, n_in in ((dd.y_out, layer.s_y, layer.p_y, layer.k_y, layer.y_in),
+                                 (dd.x_out, layer.s_x, layer.p_x, layer.k_x, layer.x_in)):
+        pos = np.add.outer(np.arange(-p, n_out * s - p, s), np.arange(k))
+        inside = (pos >= 0) & (pos < n_in)
+        axes.append((np.nonzero(inside)[0], pos[inside]))
+    (oy, y), (ox, x) = axes
+    return (oy * dd.x_out, y * layer.x_in), (ox, x)
+
+
+def _last_read_window(layer: LayerSpec) -> np.ndarray:
+    """Index of the last window that reads each input pixel, -1 if never read.
+
+    Input word ``a`` belongs to pixel ``a // c_in``: grouped or not, every
+    window that covers a pixel reads all of its channels.
+    """
+    (wy, py), (wx, px) = _reads(layer)
+    lrw = np.full(layer.y_in * layer.x_in, -1, dtype=np.int64)
+    np.maximum.at(lrw, np.add.outer(py, px).ravel(), np.add.outer(wy, wx).ravel())
+    return lrw
 
 
 def _raw_min_safe_offset(layer: LayerSpec) -> int | None:
     """Unfloored lifetime constraint: least d with no write/read collision.
 
-    May be zero or negative for layers whose writes trail the reads by
-    construction (then any non-negative offset is collision-free); ``None``
-    when no input word is ever read.
+    ``max(c_out * window - address)`` over every read of a pixel's channel 0,
+    its lowest word.  Zero or negative when writes trail the reads by
+    construction; ``None`` when no input word is ever read.
     """
-    lrw = _last_read_window(layer)
-    read = lrw >= 0
-    if not read.any():
+    (wy, py), (wx, px) = _reads(layer)
+    if not (wy.size and wx.size):
         return None
-    addrs = np.arange(lrw.size, dtype=np.int64)
-    need = layer.c_out * lrw[read] - addrs[read]
-    return int(need.max())
+    c_out, c_in = layer.c_out, layer.c_in
+    return int(np.add.outer(c_out * wy - c_in * py, c_out * wx - c_in * px).max())
 
 
 def min_safe_offset_bruteforce(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int:
@@ -105,7 +107,7 @@ def min_safe_offset_bruteforce(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_
     Output word ``e`` lands ``e - d`` words above the input base and commits
     when its window finishes, so ``d`` is safe iff for every input word ``a``
     the committing window of the write that lands on ``a`` is no earlier than
-    the last window reading ``a``.  Solving that per address gives the least
+    the last window reading ``a``.  Solving that per read gives the least
     ``d`` directly; the floor of one word mirrors the strict separation the
     closed form guarantees.
     """
@@ -114,11 +116,8 @@ def min_safe_offset_bruteforce(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_
     return 1 if raw is None else max(1, raw)
 
 
-def verify_layer(
-    layer: LayerSpec,
-    cycle_cap: int = DEFAULT_CYCLE_CAP,
-    closed_form_offset: int | None = None,
-) -> OracleReport:
+def verify_layer(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP,
+                 closed_form_offset: int | None = None) -> OracleReport:
     """Compare the closed-form offset with the brute-force minimum.
 
     ``closed_form_offset`` overrides the computed value, e.g. to check a
@@ -272,7 +271,8 @@ def _run_layer_in_arena(idx, layer, w, b, lp, arena, checked) -> None:
         # the last window due to read each landing word; carry words outlive
         # every window
         a = (words - lp.input_base) % size
-        victim = np.where(a < lrw.size, lrw[np.minimum(a, lrw.size - 1)],
+        pixel = a // layer.c_in
+        victim = np.where(pixel < lrw.size, lrw[np.minimum(pixel, lrw.size - 1)],
                           np.where(a < dd.m_in, windows, -1))
         early = np.flatnonzero((victim > k // c_out) | (k >= size))
         if checked and early.size:

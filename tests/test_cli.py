@@ -100,6 +100,12 @@ class TestVerify:
         assert code == 0
         assert "skipped" in out and "closed-form" in out
 
+    def test_full_scale_dmcnn_vd_verifies_at_raised_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", str(bundled_network_path("dmcnn_vd")),
+                               "--cycle-cap", "100000000000")
+        assert code == 0
+        assert out.count(": match") == 20
+
 
 class TestSweep:
     def test_small_sweep_reports_no_unsafe(self, capsys):

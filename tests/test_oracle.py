@@ -1,6 +1,7 @@
 """Brute-force lifetime oracle and the two executors."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -108,11 +109,25 @@ class TestBruteForceOffset:
                       square(4, c_in=2, k=3, p=1, c_out=2, groups=2)):
             assert min_safe_offset_bruteforce(layer) == exhaustive(layer), layer
 
+    # a full-scale dmcnn_vd middle layer: 1.5e10 MAC cycles
+    BIG = LayerSpec(x_in=640, y_in=640, c_in=64, k_x=3, k_y=3, s_x=1, s_y=1,
+                    p_x=1, p_y=1, c_out=64)
+
     def test_size_cap(self):
-        big = LayerSpec(x_in=640, y_in=640, c_in=64, k_x=3, k_y=3, s_x=1, s_y=1,
-                        p_x=1, p_y=1, c_out=64)
         with pytest.raises(SizeLimitError):
-            min_safe_offset_bruteforce(big)
+            min_safe_offset_bruteforce(self.BIG)
+
+    def test_full_scale_layer_in_bounded_memory(self):
+        # above the default cap but verifiable: the oracle's scratch is one
+        # int64 per (row read, column read) pair, not one per input word
+        tracemalloc.start()
+        try:
+            d = min_safe_offset_bruteforce(self.BIG, cycle_cap=10**11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == min_offset(self.BIG) == 41_024
+        assert peak < 64 * 2**20
 
 
 class TestVerify:

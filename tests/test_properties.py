@@ -23,6 +23,7 @@ from actplan import (
 
 import random
 
+from actplan.oracle import _last_read_window
 from conftest import loop_nest_trace
 
 
@@ -101,6 +102,23 @@ def test_closed_form_is_never_below_the_lifetime_minimum(layer):
     # output region destroy data a later window still reads; the separable
     # formula is exact, so it never spends a word more either
     assert min_offset(layer) == min_safe_offset_bruteforce(layer)
+
+
+@given(layers())
+@settings(max_examples=200, deadline=None)
+def test_last_read_window_is_shared_by_a_pixels_channels(layer):
+    # the executor looks input word a up at pixel a // c_in; that is exact
+    # only if, grouped or not, every channel of a pixel has the same last
+    # reading window in the literal trace
+    reads, _ = loop_nest_trace(layer)
+    last = {}
+    for k, addr in reads:
+        last[addr] = max(last.get(addr, -1), k // layer.c_out)
+    lrw = _last_read_window(layer)
+    assert lrw.shape == (layer.y_in * layer.x_in,)
+    m_conv = layer.y_in * layer.x_in * layer.c_in
+    assert [last.get(a, -1) for a in range(m_conv)] == [
+        int(lrw[a // layer.c_in]) for a in range(m_conv)]
 
 
 @given(layers())
