@@ -12,9 +12,9 @@ output word ``k``, and the read frontier -- the lowest input address that any
 upcoming window still needs -- advances ``s_x * c_in`` words per window step,
 skips rows according to ``s_y``, starts below zero when the top rows are
 padding and is pulled back when the window run-out at the right edge exceeds
-the image.  ``read_pointer_at`` is the frontier in integer floor/ceil
-arithmetic, bit-stable for arbitrarily large layers, and ``paper_offset`` is
-the offset the paper's equations give.
+the image.  ``read_pointer_at`` is the frontier in exact integer floor/ceil
+arithmetic, and ``paper_offset`` is the offset the paper's equations give:
+the model evaluated at each window's last block, in one numpy pass.
 
 Plans do not use the pointer model.  ``min_offset`` is the exact lifetime
 minimum, a separable formula over the last window that reads each input row
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import InvalidLayerError, PackingError
 
@@ -121,7 +123,7 @@ def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def read_pointer_at(t: int, layer: LayerSpec) -> int:
+def read_pointer_at(t, layer: LayerSpec):
     """Lowest input address still needed by upcoming windows, at cycle ``t``.
 
     Built from four integer terms: the x advance of the window (one
@@ -129,14 +131,15 @@ def read_pointer_at(t: int, layer: LayerSpec) -> int:
     constant credit for the top padding rows that hold no data, and a pullback
     for windows that run out over the right edge.  The whole expression is
     clamped at zero: while the window still covers top padding the frontier
-    sits at the start of the input.
+    sits at the start of the input.  ``t`` may be an int or an int64 array of
+    cycles; the result is int64 of the same shape.
 
     Note the pullback term applies from the first cycle after a row starts
     (ceil semantics), so for layers whose window run-out is nonzero the value
     can dip briefly at row boundaries before the x advance catches up; the
     dip only ever makes the frontier more cautious.
     """
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("cycle index must be >= 0")
     dd = derive_dims(layer)
     window = layer.c_out * dd.block_cycles
@@ -146,47 +149,23 @@ def read_pointer_at(t: int, layer: LayerSpec) -> int:
     top_pad = layer.p_y * layer.c_in * layer.x_in
     overshoot = dd.x_out * layer.s_x - layer.x_in
     side = _ceildiv(t, row) * max(0, overshoot * layer.s_x * layer.c_in)
-    return max(0, x_term + y_term - top_pad - side)
+    return np.maximum(0, x_term + y_term - top_pad - side)
 
 
 def paper_offset(layer: LayerSpec) -> int:
     """The paper's offset: one word above the largest write - read gap.
 
-    Evaluates the pointer model at the start of every output block (both
-    pointers starting at 0) and returns the least ``d >= 1`` that keeps the
-    write pointer strictly below the read frontier there.  This is the
-    paper's model, kept for comparison; plans use :func:`min_offset`.
-
-    Within one window the frontier is constant (except for the pullback tick
-    right after a row start), so per window only the first and last block can
-    be extremal.  Along a row the frontier is affine in the window column
-    with a single clamp release, so the extrema sit at the row ends and next
-    to the release point.  That reduces the scan to a handful of blocks per
-    output row.
+    Evaluates the pointer model with both pointers starting at 0 and returns
+    the least ``d >= 1`` that keeps the write pointer strictly below the
+    read frontier at every block start.  Within one window the frontier is
+    constant, except at a row's first block, where it is no lower, so each
+    window's largest gap is at its last block.  This is the paper's model,
+    kept for comparison; plans use :func:`min_offset`.
     """
     dd = derive_dims(layer)
-    cout = layer.c_out
-    adv = layer.s_x * layer.c_in
-    row_adv = (layer.s_y - 1) * layer.c_in * layer.x_in
-    top_pad = layer.p_y * layer.c_in * layer.x_in
-    overshoot = dd.x_out * layer.s_x - layer.x_in
-    side = max(0, overshoot * layer.s_x * layer.c_in)
-
-    best = 0
-    for y in range(dd.y_out):
-        first = y * dd.x_out * cout
-        cand = {first, first + cout - 1}
-        if dd.x_out > 1:
-            cand.add(first + 2 * cout - 1)
-            cand.add(first + dd.x_out * cout - 1)
-            # window column where the zero clamp releases on this row
-            xc = _ceildiv(top_pad + side * (y + 1) - row_adv * y, adv) - y * dd.x_out
-            for x in (xc - 1, xc, xc + 1):
-                if 1 <= x < dd.x_out:
-                    cand.add(first + (x + 1) * cout - 1)
-        for k in cand:
-            best = max(best, k - read_pointer_at(k * dd.block_cycles, layer))
-    return best + 1
+    last = np.arange(1, dd.x_out * dd.y_out + 1, dtype=np.int64) * layer.c_out - 1
+    gap = last - read_pointer_at(last * dd.block_cycles, layer)
+    return 1 + max(0, int(gap.max()))
 
 
 def _last_readers(n_in: int, k: int, s: int, p: int, n_out: int):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ChainMismatchError, InvalidLayerError, NetworkFileError
+from .errors import InvalidLayerError, NetworkFileError
 from .model import LayerSpec, derive_dims
 from .planner import NetworkSpec
 
@@ -28,8 +28,7 @@ __all__ = ["parse_network_file", "parse_network_text", "bundled_network_path", "
 
 _REQUIRED = ("k_x", "k_y", "s_x", "s_y", "p_x", "p_y", "c_out")
 _FIRST_ONLY = ("x_in", "y_in", "c_in")
-_OPTIONAL = ("groups", "residual_carry_words")
-_ALLOWED = set(_REQUIRED) | set(_FIRST_ONLY) | set(_OPTIONAL)
+_ALLOWED = set(_REQUIRED) | set(_FIRST_ONLY) | {"groups", "residual_carry_words"}
 
 
 def parse_network_file(path) -> NetworkSpec:
@@ -62,16 +61,11 @@ def _build(doc, source: str) -> NetworkSpec:
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise NetworkFileError("missing or empty 'name'", location=source)
-    packing = doc.get("packing", 1)
-    if not isinstance(packing, int) or isinstance(packing, bool) or packing < 1:
-        raise NetworkFileError(f"'packing' must be an integer >= 1, got {packing!r}",
-                               location=f"{source}: packing")
     raw_layers = doc.get("layers")
     if not isinstance(raw_layers, list) or not raw_layers:
         raise NetworkFileError("'layers' must be a non-empty list", location=source)
 
     layers = []
-    prev_out = None  # (x, y, c) inherited by the next layer
     for i, entry in enumerate(raw_layers):
         where = f"{source}: layers[{i}]"
         if not isinstance(entry, dict):
@@ -79,47 +73,27 @@ def _build(doc, source: str) -> NetworkSpec:
         bad = set(entry) - _ALLOWED
         if bad:
             raise NetworkFileError(f"unknown keys {sorted(bad)}", location=where)
-        fields = {}
-        for key in _REQUIRED:
-            if key not in entry:
-                raise NetworkFileError(f"missing required key '{key}'", location=where)
-            fields[key] = _int_field(entry, key, where)
-        for key in _OPTIONAL:
-            if key in entry:
-                fields[key] = _int_field(entry, key, where)
-        for key in _FIRST_ONLY:
-            if key in entry:
-                fields[key] = _int_field(entry, key, where)
+        missing = [k for k in _REQUIRED if k not in entry]
+        if missing:
+            raise NetworkFileError(f"missing required key '{missing[0]}'", location=where)
         if i == 0:
-            missing = [k for k in _FIRST_ONLY if k not in fields]
+            inherited = {}
+            missing = [k for k in _FIRST_ONLY if k not in entry]
             if missing:
                 raise NetworkFileError(f"first layer must state {missing}", location=where)
         else:
-            for key, inherited in zip(_FIRST_ONLY, prev_out):
-                stated = fields.get(key)
-                if stated is None:
-                    fields[key] = inherited
-                elif stated != inherited:
-                    raise ChainMismatchError(
-                        f"layers {i} -> {i + 1}: {key}={stated} does not match "
-                        f"previous layer's output ({inherited})"
-                    )
+            # restated input dims override these; NetworkSpec checks the chain
+            dd = derive_dims(layers[-1])
+            inherited = dict(zip(_FIRST_ONLY, (dd.x_out, dd.y_out, layers[-1].c_out)))
         try:
-            layer = LayerSpec(**fields)
+            layers.append(LayerSpec(**{**inherited, **entry}))
         except InvalidLayerError as exc:
             raise NetworkFileError(str(exc), location=where) from exc
-        layers.append(layer)
-        dd = derive_dims(layer)
-        prev_out = (dd.x_out, dd.y_out, layer.c_out)
 
-    return NetworkSpec(name=name, layers=tuple(layers), packing=packing)
-
-
-def _int_field(entry, key, where):
-    v = entry[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise NetworkFileError(f"'{key}' must be an integer, got {v!r}", location=where)
-    return v
+    try:
+        return NetworkSpec(name=name, layers=tuple(layers), packing=doc.get("packing", 1))
+    except InvalidLayerError as exc:
+        raise NetworkFileError(str(exc), location=f"{source}: packing") from exc
 
 
 def bundled_network_path(name: str) -> Path:

@@ -240,6 +240,9 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
         raise PackingError("execution models one datum per memory word (packing must be 1)")
     _check_exec_cap(net, cycle_cap)
     x, checked_w = _check_vectors(net, input_tensor, weights)
+    dims = [derive_dims(layer) for layer in net.layers]
+    if [(lp.m_in, lp.m_out) for lp in plan.layer_plans] != [(dd.m_in, dd.m_out) for dd in dims]:
+        raise DimensionMismatchError("plan is for another network: per-layer word counts differ")
     size = plan.arena_size
     for lp in plan.layer_plans:
         if lp.m_in > size:
@@ -249,8 +252,7 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
     arena[(plan.layer_plans[0].input_base + np.arange(x.size)) % size] = x.reshape(-1)
     for idx, (layer, (w, b), lp) in enumerate(zip(net.layers, checked_w, plan.layer_plans)):
         _run_layer_in_arena(idx, layer, w, b, lp, arena, checked)
-    last = net.layers[-1]
-    dd = derive_dims(last)
+    last, dd = net.layers[-1], dims[-1]
     out = arena[(plan.layer_plans[-1].output_base + np.arange(dd.m_out)) % size]
     return out.reshape(dd.y_out, dd.x_out, last.c_out)
 

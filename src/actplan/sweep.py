@@ -1,8 +1,8 @@
 """Exhaustive and randomized verification harnesses.
 
 The layer sweep enumerates every square layer shape inside configurable
-bounds (image edge, kernel, stride, padding, channels, grouped and packed
-variants) and checks the closed-form offset of each against the brute-force
+bounds (image edge, kernel, stride, padding, channels, depthwise variants)
+and checks the closed-form offset of each against the brute-force
 lifetime minimum.  The network sweep draws seeded random layer chains,
 executes them bit-exactly in a planned arena against the two-buffer
 reference, and probes plan tightness by decrementing offsets.
@@ -87,9 +87,9 @@ def sweep_layer_configs(bounds: SweepBounds = SweepBounds()):
     """Yield every distinct layer in the sweep domain.
 
     Grouped variants use ``groups == c_in`` (depthwise) where it divides
-    ``c_out``; packed variants rescale by ``q == c_in`` where that divides
-    both channel counts.  Packed layers are yielded in rescaled form, so the
-    whole domain is verified through one code path.
+    ``c_out``.  Packed variants rescale by ``q == c_in``, which turns each
+    into an unpacked ``c_in == 1`` layer already in the domain, so
+    ``bounds.packed`` adds no configuration under any bounds.
     """
     seen = set()
     for x_in in range(1, bounds.max_dim + 1):

@@ -1,5 +1,6 @@
 """Closed-form pointer model: geometry, pointers, offsets, packing."""
 
+import numpy as np
 import pytest
 
 from actplan import (
@@ -8,12 +9,26 @@ from actplan import (
     NetworkSpec,
     PackingError,
     apply_packing,
+    bundled_network_path,
     derive_dims,
     min_offset,
+    packed_layers,
     paper_offset,
+    parse_network_file,
     plan_network,
     read_pointer_at,
 )
+
+# paper_offset of every layer of every bundled file, as computed by the
+# earlier per-row candidate scan; pins the pointer model at full scale
+BUNDLED_PAPER_OFFSETS = {
+    "dlib_face": [415366, 5152, 2592, 88352, 7245, 7245, 321],
+    "dmcnn_vd": [24987523] + [41024] * 18 + [1923],
+    "dmcnn_vd_64": [250051] + [4160] * 18 + [195],
+    "mobilenet_v2": [252230, 3616, 16, 1003536, 5376, 24, 376344, 8208, 24, 376344, 4032, 32],
+    "single_identity": [1],
+    "yolo_lite": [5326723, 16, 1643536, 32, 824352, 64, 414784, 128, 5248, 128, 53888, 125],
+}
 
 
 def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1, carry=0):
@@ -88,6 +103,8 @@ class TestPointers:
     def test_negative_cycle_rejected(self):
         with pytest.raises(ValueError):
             read_pointer_at(-1, square(4))
+        with pytest.raises(ValueError):
+            read_pointer_at(np.array([0, -1]), square(4))
 
 
 class TestMinOffset:
@@ -132,7 +149,8 @@ class TestMinOffset:
             assert plan.arena_size <= plan.pingpong_size
 
     def test_candidate_scan_matches_blockwise_evaluation(self):
-        # the paper model's per-row scan must agree with every block start
+        # evaluating the paper model at each window's last block must agree
+        # with evaluating it at every block start
         layers = [
             square(4, k=3, p=1),
             square(2, c_out=2),
@@ -149,6 +167,13 @@ class TestMinOffset:
                 k - read_pointer_at(k * dd.block_cycles, layer) for k in range(dd.m_out)
             )
             assert paper_offset(layer) == max(0, dense) + 1, layer
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_PAPER_OFFSETS))
+    def test_paper_offset_on_bundled_layers(self, name):
+        layers = packed_layers(parse_network_file(bundled_network_path(name)))
+        got = [paper_offset(layer) for layer in layers]
+        assert got == BUNDLED_PAPER_OFFSETS[name]
+        assert all(type(d) is int for d in got)  # verify --format json serializes them
 
     def test_side_correction_dip_is_bounded_and_safe(self):
         # when the window run-out at the right edge is nonzero, the frontier

@@ -46,6 +46,18 @@ layers:
         with pytest.raises(ChainMismatchError, match=r"layers 1 -> 2.*c_in=4"):
             parse_network_file(FIXTURES / "bad_chain.net")
 
+    def test_restated_mismatch_names_its_layer_pair(self):
+        with pytest.raises(ChainMismatchError, match=r"layers 2 -> 3: x_in=4 .*\(3\)"):
+            parse_network_text(
+                """
+name: three
+layers:
+  - {x_in: 6, y_in: 6, c_in: 1, k_x: 1, k_y: 1, s_x: 1, s_y: 1, p_x: 0, p_y: 0, c_out: 2}
+  - {x_in: 6, c_in: 2, k_x: 3, k_y: 3, s_x: 2, s_y: 2, p_x: 1, p_y: 1, c_out: 2}
+  - {x_in: 4, k_x: 1, k_y: 1, s_x: 1, s_y: 1, p_x: 0, p_y: 0, c_out: 2}
+"""
+            )
+
     def test_json_accepted(self):
         net = parse_network_text(
             '{"name": "j", "layers": [{"x_in": 2, "y_in": 2, "c_in": 1, "k_x": 1, '
@@ -92,6 +104,10 @@ class TestDiagnostics:
     def test_invalid_geometry_located(self):
         with pytest.raises(NetworkFileError, match=r"layers\[0\]"):
             parse_network_text(MINIMAL.replace("k_x: 1", "k_x: 9"))
+
+    def test_bad_packing_located(self):
+        with pytest.raises(NetworkFileError, match=r"^<string>: packing: "):
+            parse_network_text(MINIMAL.replace("name: one", "name: one\npacking: 0"))
 
     def test_missing_file(self):
         with pytest.raises(NetworkFileError):

@@ -324,6 +324,15 @@ class TestExecutors:
         got = execute_network_in_arena(net, tiny, x, weights)
         assert np.array_equal(got, loop_nest_exec(net, tiny, x, weights))
 
+    def test_plan_for_another_network_refused(self):
+        # the plan of a network's 2-layer prefix would run 2 of its 4 layers
+        # and return a tensor read from the wrong region
+        net = random_network(random.Random(1))
+        prefix = NetworkSpec("prefix", net.layers[:2])
+        x, weights = seeded_test_vectors(net, seed=0)
+        with pytest.raises(DimensionMismatchError, match="another network"):
+            execute_network_in_arena(net, plan_network(prefix), x, weights, checked=True)
+
     def test_arena_smaller_than_input_refused(self):
         net = NetworkSpec("n", (square(4),))
         x, weights = seeded_test_vectors(net, seed=0)

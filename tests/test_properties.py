@@ -93,6 +93,12 @@ def test_offset_search_matches_dense_block_scan(layer):
     dd = derive_dims(layer)
     dense = max(k - read_pointer_at(k * dd.block_cycles, layer) for k in range(dd.m_out))
     assert paper_offset(layer) == max(dense, 0) + 1
+    # the array form equals the scalar calls, at block starts and one cycle
+    # later, where the right-edge pullback ticks
+    starts = np.arange(dd.m_out, dtype=np.int64) * dd.block_cycles
+    cycles = np.concatenate([starts, starts + 1])
+    assert read_pointer_at(cycles, layer).tolist() == [read_pointer_at(int(t), layer)
+                                                       for t in cycles]
 
 
 @given(layers())
