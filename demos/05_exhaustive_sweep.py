@@ -1,7 +1,7 @@
 """The full verification story in one run.
 
 Every square layer shape up to 6x6 images, 5x5 kernels, stride 2, padding 2
-and 3 channels (plus depthwise and packed variants) is checked against the
+and 3 channels (plus depthwise variants) is checked against the
 brute-force lifetime minimum, and 100 seeded random networks are executed
 bit-exactly in their planned arenas.
 """

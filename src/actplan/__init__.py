@@ -26,7 +26,7 @@ from .model import (
     paper_offset,
     read_pointer_at,
 )
-from .netfile import bundled_network_path, bundled_networks, parse_network_file, parse_network_text
+from .netfile import bundled_network_path, parse_network_file, parse_network_text
 from .oracle import (
     OracleReport,
     execute_network_in_arena,
@@ -39,13 +39,12 @@ from .planner import (
     LayerPlan,
     MemoryPlan,
     NetworkSpec,
-    count_parameters,
     packed_layers,
     plan_network,
     plan_with_offsets,
     tightest_layer,
 )
-from .report import plan_to_dict, plan_to_json, render_memory_map, render_plan_text
+from .report import plan_to_json, render_memory_map, render_plan_text
 from .sweep import (
     ExecSummary,
     SweepBounds,
@@ -66,9 +65,9 @@ __all__ = [
     "OracleReport", "min_safe_offset_bruteforce", "verify_layer",
     "execute_network_reference", "execute_network_in_arena", "seeded_test_vectors",
     "NetworkSpec", "LayerPlan", "MemoryPlan", "packed_layers", "plan_network",
-    "plan_with_offsets", "count_parameters", "tightest_layer",
-    "parse_network_file", "parse_network_text", "bundled_network_path", "bundled_networks",
-    "plan_to_dict", "plan_to_json", "render_plan_text", "render_memory_map",
+    "plan_with_offsets", "tightest_layer",
+    "parse_network_file", "parse_network_text", "bundled_network_path",
+    "plan_to_json", "render_plan_text", "render_memory_map",
     "SweepBounds", "SweepSummary", "ExecSummary",
     "sweep_layer_configs", "run_layer_sweep", "random_network", "run_exec_sweep",
     "__version__",

@@ -34,8 +34,6 @@ from .planner import packed_layers, plan_network, plan_with_offsets, tightest_la
 from .report import plan_to_json, render_plan_text
 from .sweep import SweepBounds, run_exec_sweep, run_layer_sweep
 
-__all__ = ["main"]
-
 
 def _cmd_plan(args) -> int:
     net = parse_network_file(args.file)

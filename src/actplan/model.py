@@ -31,16 +31,6 @@ import numpy as np
 
 from .errors import InvalidLayerError, PackingError
 
-__all__ = [
-    "LayerSpec",
-    "DerivedDims",
-    "derive_dims",
-    "read_pointer_at",
-    "min_offset",
-    "paper_offset",
-    "apply_packing",
-]
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -222,14 +212,12 @@ def apply_packing(layer: LayerSpec, q: int) -> LayerSpec:
         raise PackingError(f"packing factor {q} does not divide c_in={layer.c_in}")
     if layer.c_out % q:
         raise PackingError(f"packing factor {q} does not divide c_out={layer.c_out}")
-    groups = layer.groups // math.gcd(layer.groups, q)
-    try:
-        return replace(
-            layer,
-            c_in=layer.c_in // q,
-            c_out=layer.c_out // q,
-            groups=groups,
-            residual_carry_words=_ceildiv(layer.residual_carry_words, q),
-        )
-    except InvalidLayerError as exc:
-        raise PackingError(f"packing factor {q} incompatible with layer: {exc}") from exc
+    # lcm(groups, q) divides both channel counts, so the packed group count
+    # divides both packed counts and the result is always a valid layer
+    return replace(
+        layer,
+        c_in=layer.c_in // q,
+        c_out=layer.c_out // q,
+        groups=layer.groups // math.gcd(layer.groups, q),
+        residual_carry_words=_ceildiv(layer.residual_carry_words, q),
+    )

@@ -24,8 +24,6 @@ from .errors import InvalidLayerError, NetworkFileError
 from .model import LayerSpec, derive_dims
 from .planner import NetworkSpec
 
-__all__ = ["parse_network_file", "parse_network_text", "bundled_network_path", "bundled_networks"]
-
 _REQUIRED = ("k_x", "k_y", "s_x", "s_y", "p_x", "p_y", "c_out")
 _FIRST_ONLY = ("x_in", "y_in", "c_in")
 _ALLOWED = set(_REQUIRED) | set(_FIRST_ONLY) | {"groups", "residual_carry_words"}
@@ -104,7 +102,3 @@ def bundled_network_path(name: str) -> Path:
                                f"available: {[q.stem for q in sorted(p.parent.glob('*.net'))]}")
     return p
 
-
-def bundled_networks() -> list:
-    """Names of all bundled network files."""
-    return sorted(p.stem for p in (Path(__file__).parent / "networks").glob("*.net"))

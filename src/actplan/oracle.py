@@ -23,16 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ClobberError, DimensionMismatchError, PackingError, SizeLimitError
 from .model import LayerSpec, derive_dims, min_offset
 
-__all__ = [
-    "OracleReport",
-    "DEFAULT_CYCLE_CAP",
-    "min_safe_offset_bruteforce",
-    "verify_layer",
-    "execute_network_reference",
-    "execute_network_in_arena",
-    "seeded_test_vectors",
-]
-
 # Cap on MAC cycles, m_out * block_cycles: per layer for the oracle, summed
 # over the network's layers for the executors.
 DEFAULT_CYCLE_CAP = 4_000_000_000

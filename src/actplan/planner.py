@@ -15,17 +15,6 @@ from dataclasses import dataclass
 from .errors import ChainMismatchError, InvalidLayerError
 from .model import LayerSpec, apply_packing, derive_dims, min_offset
 
-__all__ = [
-    "NetworkSpec",
-    "LayerPlan",
-    "MemoryPlan",
-    "packed_layers",
-    "plan_network",
-    "plan_with_offsets",
-    "count_parameters",
-    "tightest_layer",
-]
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -92,9 +81,33 @@ def packed_layers(net: NetworkSpec) -> tuple:
     return tuple(apply_packing(layer, net.packing) for layer in net.layers)
 
 
-def _build_plan(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
-    layers = packed_layers(net)
-    dims = [derive_dims(layer) for layer in layers]
+def plan_network(net: NetworkSpec) -> MemoryPlan:
+    """Minimal arena and per-layer placements for a network.
+
+    The arena is the maximum over layers of the per-layer joint footprint
+    ``max(m_in + d, m_out)``.  Output bases descend by each layer's offset
+    modulo the arena; because the arena is at least ``m_in + d`` for every
+    layer, the linear safety argument for a layer pair embeds unchanged in
+    the circle.
+    """
+    return plan_with_offsets(net, [min_offset(layer) for layer in packed_layers(net)])
+
+
+def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
+    """Plan with explicit per-layer offsets; :func:`plan_network` passes the
+    minimal ones, validation and experiments pass others.
+
+    Keeps the given ``arena_size`` if provided, so a deliberately corrupted
+    offset can be replayed inside the original arena.
+    """
+    offsets = list(offsets)
+    if len(offsets) != len(net.layers):
+        raise InvalidLayerError(
+            f"{len(offsets)} offsets for {len(net.layers)} layers"
+        )
+    if any(d < 0 for d in offsets):
+        raise InvalidLayerError("offsets must be >= 0")
+    dims = [derive_dims(layer) for layer in packed_layers(net)]
     m_mins = [dd.m_in + d for dd, d in zip(dims, offsets)]
     # A layer can emit more words than m_in + d spans (channel expansion,
     # windows over padding); the arena must still hold its full output.
@@ -119,9 +132,10 @@ def _build_plan(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
         base = out_base
 
     # the disjoint baseline keeps each layer's input (with residual
-    # carries) and output live at once
+    # carries) and output live at once; weights and biases take one word
+    # per parameter of the unpacked layers
     pingpong = max(dd.m_in + dd.m_out for dd in dims)
-    params = count_parameters(net)
+    params = sum(l.k_x * l.k_y * (l.c_in // l.groups) * l.c_out + l.c_out for l in net.layers)
     savings_act = (pingpong - size) / pingpong * 100.0
     savings_total = ((params + pingpong) - (params + size)) / (params + pingpong) * 100.0
     return MemoryPlan(
@@ -134,43 +148,6 @@ def _build_plan(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
         savings_activations_pct=savings_act,
         savings_total_pct=savings_total,
     )
-
-
-def plan_network(net: NetworkSpec) -> MemoryPlan:
-    """Minimal arena and per-layer placements for a network.
-
-    The arena is the maximum over layers of the per-layer joint footprint
-    ``max(m_in + d, m_out)``.  Output bases descend by each layer's offset
-    modulo the arena; because the arena is at least ``m_in + d`` for every
-    layer, the linear safety argument for a layer pair embeds unchanged in
-    the circle.
-    """
-    offsets = [min_offset(layer) for layer in packed_layers(net)]
-    return _build_plan(net, offsets)
-
-
-def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
-    """Plan with explicit per-layer offsets (validation and experiments).
-
-    Keeps the given ``arena_size`` if provided, so a deliberately corrupted
-    offset can be replayed inside the original arena.
-    """
-    offsets = list(offsets)
-    if len(offsets) != len(net.layers):
-        raise InvalidLayerError(
-            f"{len(offsets)} offsets for {len(net.layers)} layers"
-        )
-    if any(d < 0 for d in offsets):
-        raise InvalidLayerError("offsets must be >= 0")
-    return _build_plan(net, offsets, arena_size=arena_size)
-
-
-def count_parameters(net: NetworkSpec) -> int:
-    """Weight and bias words of the network, one word per parameter."""
-    total = 0
-    for layer in net.layers:
-        total += layer.k_x * layer.k_y * (layer.c_in // layer.groups) * layer.c_out + layer.c_out
-    return total
 
 
 def tightest_layer(plan: MemoryPlan) -> int:

@@ -6,40 +6,12 @@ import json
 
 from .planner import MemoryPlan
 
-__all__ = [
-    "plan_to_dict",
-    "plan_to_json",
-    "render_plan_text",
-    "render_memory_map",
-]
-
-
-def plan_to_dict(plan: MemoryPlan) -> dict:
-    return {
-        "name": plan.name,
-        "packing": plan.packing,
-        "arena_size": plan.arena_size,
-        "pingpong_size": plan.pingpong_size,
-        "parameter_words": plan.parameter_words,
-        "savings_activations_pct": plan.savings_activations_pct,
-        "savings_total_pct": plan.savings_total_pct,
-        "layers": [
-            {
-                "index": lp.index,
-                "m_in": lp.m_in,
-                "m_out": lp.m_out,
-                "d": lp.d,
-                "m_min_layer": lp.m_min_layer,
-                "input_base": lp.input_base,
-                "output_base": lp.output_base,
-            }
-            for lp in plan.layer_plans
-        ],
-    }
-
 
 def plan_to_json(plan: MemoryPlan) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2)
+    """The plan's fields as indented JSON, with ``layer_plans`` listed last as ``layers``."""
+    doc = dict(vars(plan))
+    doc["layers"] = [vars(lp) for lp in doc.pop("layer_plans")]
+    return json.dumps(doc, indent=2)
 
 
 def _humanize_words(words: int) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClobberError
-from .model import LayerSpec, apply_packing, derive_dims
+from .model import LayerSpec, derive_dims
 from .oracle import (
     DEFAULT_CYCLE_CAP,
     _raw_min_safe_offset,
@@ -28,16 +28,6 @@ from .oracle import (
 )
 from .planner import NetworkSpec, plan_network, plan_with_offsets, tightest_layer
 
-__all__ = [
-    "SweepBounds",
-    "SweepSummary",
-    "ExecSummary",
-    "sweep_layer_configs",
-    "run_layer_sweep",
-    "random_network",
-    "run_exec_sweep",
-]
-
 
 @dataclass(frozen=True)
 class SweepBounds:
@@ -45,6 +35,9 @@ class SweepBounds:
 
     Image width and height vary independently; kernel, stride and padding
     are square (the hypothesis suite covers fully asymmetric shapes).
+    ``packed`` adds no layer: packing by ``q == c_in`` only gives a
+    ``c_in == 1`` layer that is already in the domain.  It stays until the
+    benchmark, which passes ``packed=True``, is updated to drop it.
     """
 
     max_dim: int = 6
@@ -84,14 +77,11 @@ class SweepSummary:
 
 
 def sweep_layer_configs(bounds: SweepBounds = SweepBounds()):
-    """Yield every distinct layer in the sweep domain.
+    """Yield every layer in the sweep domain, each once.
 
     Grouped variants use ``groups == c_in`` (depthwise) where it divides
-    ``c_out``.  Packed variants rescale by ``q == c_in``, which turns each
-    into an unpacked ``c_in == 1`` layer already in the domain, so
-    ``bounds.packed`` adds no configuration under any bounds.
+    ``c_out``.
     """
-    seen = set()
     for x_in in range(1, bounds.max_dim + 1):
         for y_in in range(1, bounds.max_dim + 1):
             for k in range(1, bounds.max_kernel + 1):
@@ -104,20 +94,12 @@ def sweep_layer_configs(bounds: SweepBounds = SweepBounds()):
                                 groups_opts = [1]
                                 if bounds.grouped and c_in > 1 and c_out % c_in == 0:
                                     groups_opts.append(c_in)
-                                pack_opts = [1]
-                                if bounds.packed and c_in > 1 and c_out % c_in == 0:
-                                    pack_opts.append(c_in)
                                 for g in groups_opts:
-                                    for q in pack_opts:
-                                        base = LayerSpec(
-                                            x_in=x_in, y_in=y_in, c_in=c_in,
-                                            k_x=k, k_y=k, s_x=s, s_y=s,
-                                            p_x=p, p_y=p, c_out=c_out, groups=g,
-                                        )
-                                        layer = apply_packing(base, q)
-                                        if layer not in seen:
-                                            seen.add(layer)
-                                            yield layer
+                                    yield LayerSpec(
+                                        x_in=x_in, y_in=y_in, c_in=c_in,
+                                        k_x=k, k_y=k, s_x=s, s_y=s,
+                                        p_x=p, p_y=p, c_out=c_out, groups=g,
+                                    )
 
 
 def run_layer_sweep(bounds: SweepBounds = SweepBounds(),

@@ -19,6 +19,7 @@ from actplan import (
     plan_network,
     run_exec_sweep,
     run_layer_sweep,
+    sweep_layer_configs,
     verify_layer,
 )
 from actplan.model import LayerSpec
@@ -29,7 +30,7 @@ from conftest import record_criterion
 # --------------------------------------------------------------------------
 # Criterion 1: closed form vs. brute force over the exhaustive sweep domain
 # (square shapes, edge <= 6, kernel <= 5, stride <= 2, pad <= 2,
-#  channels <= 3, depthwise and packed variants).
+#  channels <= 3, depthwise variants).
 
 @pytest.fixture(scope="module")
 def layer_sweep():
@@ -43,6 +44,11 @@ def test_c1_sweep_zero_unsafe(layer_sweep):
     record_criterion(("PASS  " if s.unsafe == 0 else "FAIL  ") + line)
     assert s.unsafe == 0, f"first unsafe config: {s.first_unsafe}"
     assert s.total > 3000  # exhaustive domain, not a sample
+
+
+def test_c1_sweep_domain_holds_each_layer_once():
+    configs = list(sweep_layer_configs())
+    assert len(configs) == len(set(configs)) == 9218
 
 
 def test_c1_closed_form_equals_oracle_everywhere(layer_sweep):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from actplan import bundled_network_path, parse_network_file, plan_network, plan_to_dict
+from actplan import LayerPlan, MemoryPlan, bundled_network_path, parse_network_file, plan_network
 from actplan.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -24,7 +24,8 @@ class TestPlan:
         assert code == 0
         doc = json.loads(out)
         net = parse_network_file(FIXTURES / "tiny_pair.net")
-        assert doc == plan_to_dict(plan_network(net))
+        layers = tuple(LayerPlan(**lp) for lp in doc.pop("layers"))
+        assert MemoryPlan(**doc, layer_plans=layers) == plan_network(net)
         assert doc["arena_size"] == 21
         assert doc["pingpong_size"] == 32
 

@@ -8,7 +8,6 @@ from actplan import (
     ChainMismatchError,
     NetworkFileError,
     bundled_network_path,
-    bundled_networks,
     parse_network_file,
     parse_network_text,
 )
@@ -116,10 +115,8 @@ class TestDiagnostics:
 
 class TestBundled:
     def test_all_bundled_files_parse(self):
-        names = bundled_networks()
-        assert {"dmcnn_vd", "dmcnn_vd_64", "dlib_face", "yolo_lite",
-                "mobilenet_v2", "single_identity"} <= set(names)
-        for name in names:
+        for name in ("dmcnn_vd", "dmcnn_vd_64", "dlib_face", "yolo_lite",
+                     "mobilenet_v2", "single_identity"):
             net = parse_network_file(bundled_network_path(name))
             assert net.layers
 

@@ -11,7 +11,6 @@ from actplan import (
     InvalidLayerError,
     LayerSpec,
     NetworkSpec,
-    count_parameters,
     derive_dims,
     execute_network_in_arena,
     execute_network_reference,
@@ -146,11 +145,14 @@ class TestBaselineAndParams:
         assert plan_network(NetworkSpec("c", (layer,))).pingpong_size == 16 + 6 + 16
 
     def test_parameter_words(self):
-        assert count_parameters(NetworkSpec("a", (square(2),))) == 2
+        assert plan_network(NetworkSpec("a", (square(2),))).parameter_words == 2
         big = square(8, c_in=64, k=3, p=1, c_out=64)
-        assert count_parameters(NetworkSpec("b", (big,))) == 9 * 64 * 64 + 64
+        assert plan_network(NetworkSpec("b", (big,))).parameter_words == 9 * 64 * 64 + 64
         dw = square(8, c_in=64, k=3, p=1, c_out=64, groups=64)
-        assert count_parameters(NetworkSpec("c", (dw,))) == 9 * 64 + 64
+        assert plan_network(NetworkSpec("c", (dw,))).parameter_words == 9 * 64 + 64
+        # packing rescales activations only: weights still take one word each
+        packed = NetworkSpec("d", (big,), packing=4)
+        assert plan_with_offsets(packed, [1]).parameter_words == 9 * 64 * 64 + 64
 
 
 class TestSavings:

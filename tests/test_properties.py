@@ -1,5 +1,8 @@
 """Property-based checks of the pointer model against the oracle."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +182,18 @@ def test_packed_velocity_scales_linearly(c_pack, k):
     packed = apply_packing(layer, 2)
     # the write pointer advances one word per block
     assert derive_dims(layer).block_cycles == 2 * derive_dims(packed).block_cycles
+
+
+@given(layers(max_channels=12), st.sampled_from((0, 1, 5)))
+@settings(max_examples=200, deadline=None)
+def test_every_common_channel_divisor_packs(layer, carry):
+    layer = replace(layer, residual_carry_words=carry)
+    for q in range(1, math.gcd(layer.c_in, layer.c_out) + 1):
+        if layer.c_in % q or layer.c_out % q:
+            continue
+        packed = apply_packing(layer, q)
+        assert (packed.c_in * q, packed.c_out * q) == (layer.c_in, layer.c_out)
+        assert packed.c_in % packed.groups == 0 and packed.c_out % packed.groups == 0
 
 
 @given(st.integers(0, 10_000))
