@@ -19,5 +19,5 @@ print(render_plan_text(plan))
 
 small = parse_network_file(bundled_network_path("dmcnn_vd_64"))
 print("the same stack at 64x64, as a picture of region placement:\n")
-print(render_memory_map(plan_network(small), width=72))
+print(render_memory_map(plan_network(small)))
 print("\ni = this layer's input region, o = its output region, x = overlap")

@@ -45,6 +45,19 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+# what ``verify`` prints after each layer's number, by verdict
+_VERDICT_TEXT = {
+    "skipped": "skipped ({detail})",
+    "match": "match (d={d_closed_form}, paper {d_paper})",
+    "closed_form_conservative": "conservative (closed {d_closed_form}, minimum {d_oracle}, "
+                                "gap {gap}, paper {d_paper})",
+    "UNSAFE": "UNSAFE (closed {d_closed_form} < minimum {d_oracle}, paper {d_paper})",
+}
+
+# the SweepBounds fields that ``sweep`` takes as flags
+_BOUND_FLAGS = ("max_dim", "max_kernel", "max_stride", "max_pad", "max_channels")
+
+
 def _cmd_verify(args) -> int:
     net = parse_network_file(args.file)
     rows = []
@@ -70,35 +83,12 @@ def _cmd_verify(args) -> int:
         print(json.dumps({"name": net.name, "layers": rows}, indent=2))
     else:
         for row in rows:
-            if row["verdict"] == "skipped":
-                print(f"layer {row['layer']:>3}: skipped ({row['detail']})")
-            elif row["verdict"] == "match":
-                print(f"layer {row['layer']:>3}: match (d={row['d_closed_form']}, "
-                      f"paper {row['d_paper']})")
-            elif row["verdict"] == "closed_form_conservative":
-                print(
-                    f"layer {row['layer']:>3}: conservative "
-                    f"(closed {row['d_closed_form']}, minimum {row['d_oracle']}, "
-                    f"gap {row['gap']}, paper {row['d_paper']})"
-                )
-            else:
-                print(
-                    f"layer {row['layer']:>3}: UNSAFE "
-                    f"(closed {row['d_closed_form']} < minimum {row['d_oracle']}, "
-                    f"paper {row['d_paper']})"
-                )
+            print(f"layer {row['layer']:>3}: " + _VERDICT_TEXT[row["verdict"]].format(**row))
     return 1 if any_unsafe else 0
 
 
 def _cmd_sweep(args) -> int:
-    bounds = SweepBounds(
-        max_dim=args.max_dim,
-        max_kernel=args.max_kernel,
-        max_stride=args.max_stride,
-        max_pad=args.max_pad,
-        max_channels=args.max_channels,
-    )
-    summary = run_layer_sweep(bounds)
+    summary = run_layer_sweep(SweepBounds(**{name: getattr(args, name) for name in _BOUND_FLAGS}))
     lines = [
         f"layer sweep: {summary.total} configurations",
         f"  match         {summary.match}",
@@ -175,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exhaustive layer sweep and randomized execution")
     bounds = SweepBounds()
-    for name in ("max_dim", "max_kernel", "max_stride", "max_pad", "max_channels"):
+    for name in _BOUND_FLAGS:
         p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(bounds, name))
     p.add_argument("--networks", type=int, default=100,
                    help="number of seeded random networks to execute (0 disables)")
@@ -186,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checked", action="store_true",
-                   help="track per-word liveness and report the first clobber")
+                   help="stop at the first early write, onto a word still due to be read, "
+                        "and report it")
     p.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP,
                    help="refuse networks needing more MAC cycles than this")
     p.add_argument("--corrupt-offset", type=int, default=0, metavar="N",

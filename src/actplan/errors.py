@@ -44,22 +44,17 @@ class ClobberError(ActplanError):
 
     Carries the layer index, the output block whose write collided, the
     absolute arena address, the window that wrote it and the last window
-    due to read the victim word (``last_reader`` is ``None`` when the layer
-    had already written that word itself), so the first violating write can
-    be pinpointed and its earliness measured in windows.
+    due to read the victim word, so the first violating write can be
+    pinpointed and its earliness measured in windows.
     """
 
-    def __init__(self, layer_index, block, address, window=None, last_reader=None):
+    def __init__(self, layer_index, block, address, window, last_reader):
         self.layer_index = layer_index
         self.block = block
         self.address = address
         self.window = window
         self.last_reader = last_reader
-        message = (f"live data clobbered: layer {layer_index + 1}, output block {block}, "
-                   f"arena address {address}")
-        if window is not None and last_reader is None:
-            message += f"; window {window} wrote it a second time"
-        elif window is not None:
-            message += (f"; window {window} wrote it {last_reader - window} windows before "
-                        f"its last reader, window {last_reader}")
-        super().__init__(message)
+        super().__init__(
+            f"live data clobbered: layer {layer_index + 1}, output block {block}, "
+            f"arena address {address}; window {window} wrote it "
+            f"{last_reader - window} windows before its last reader, window {last_reader}")

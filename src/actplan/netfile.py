@@ -20,7 +20,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import InvalidLayerError, NetworkFileError
+from .errors import InvalidLayerError, NetworkFileError, PackingError
 from .model import LayerSpec, derive_dims
 from .planner import NetworkSpec
 
@@ -90,7 +90,7 @@ def _build(doc, source: str) -> NetworkSpec:
 
     try:
         return NetworkSpec(name=name, layers=tuple(layers), packing=doc.get("packing", 1))
-    except InvalidLayerError as exc:
+    except (InvalidLayerError, PackingError) as exc:
         raise NetworkFileError(str(exc), location=f"{source}: packing") from exc
 
 

@@ -77,18 +77,16 @@ def _last_read_window(layer: LayerSpec) -> np.ndarray:
     return lrw
 
 
-def _raw_min_safe_offset(layer: LayerSpec) -> int | None:
+def _raw_min_safe_offset(layer: LayerSpec) -> int:
     """Unfloored lifetime constraint: least d with no write/read collision.
 
     ``max(c_out * window - address)`` over every read of a pixel's channel 0,
-    its lowest word.  Zero or negative when writes trail the reads by
-    construction; ``None`` when no input word is ever read.
+    its lowest word, and zero: zero when writes trail the reads by
+    construction or no input word is ever read.
     """
     (wy, py), (wx, px) = _reads(layer)
-    if not (wy.size and wx.size):
-        return None
     c_out, c_in = layer.c_out, layer.c_in
-    return int(np.add.outer(c_out * wy - c_in * py, c_out * wx - c_in * px).max())
+    return int(np.add.outer(c_out * wy - c_in * py, c_out * wx - c_in * px).max(initial=0))
 
 
 def min_safe_offset_bruteforce(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int:
@@ -102,8 +100,7 @@ def min_safe_offset_bruteforce(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_
     closed form guarantees.
     """
     _check_cap(layer, cycle_cap)
-    raw = _raw_min_safe_offset(layer)
-    return 1 if raw is None else max(1, raw)
+    return max(1, _raw_min_safe_offset(layer))
 
 
 def verify_layer(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP,
@@ -135,20 +132,19 @@ def verify_layer(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP,
 _BATCH_WORDS = 1 << 15
 
 
-def _check_exec_cap(net, cap: int) -> None:
-    total = 0
-    for layer in net.layers:
-        dd = derive_dims(layer)
-        total += dd.m_out * dd.block_cycles
-    if total > cap:
+def _checked_inputs(net, input_tensor, weights, cap: int):
+    """The input as int64 and each layer's weights grouped as (groups, c_out
+    per group, k_y, k_x, c_in per group) with its bias, after refusing packed
+    networks, networks above the cycle cap and tensors of the wrong shape."""
+    layers = net.layers
+    if net.packing != 1:
+        raise PackingError("execution models one datum per memory word (packing must be 1)")
+    cycles = sum(dd.m_out * dd.block_cycles for dd in map(derive_dims, layers))
+    if cycles > cap:
         raise SizeLimitError(
-            f"network needs {total} MAC cycles, above the execution cap of {cap}; "
+            f"network needs {cycles} MAC cycles, above the execution cap of {cap}; "
             "raise the cap to execute it anyway"
         )
-
-
-def _check_vectors(net, input_tensor, weights):
-    layers = net.layers
     x = np.asarray(input_tensor, dtype=np.int64)
     first = layers[0]
     if x.shape != (first.y_in, first.x_in, first.c_in):
@@ -157,30 +153,23 @@ def _check_vectors(net, input_tensor, weights):
             f"({first.y_in}, {first.x_in}, {first.c_in})"
         )
     if len(weights) != len(layers):
-        raise DimensionMismatchError(
-            f"{len(weights)} weight sets for {len(layers)} layers"
-        )
-    checked = []
-    for i, (layer, pair) in enumerate(zip(layers, weights)):
-        w, b = pair
+        raise DimensionMismatchError(f"{len(weights)} weight sets for {len(layers)} layers")
+    grouped = []
+    for i, (layer, (w, b)) in enumerate(zip(layers, weights)):
         w = np.asarray(w, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         want = (layer.c_out, layer.k_y, layer.k_x, layer.c_in // layer.groups)
         if w.shape != want:
             raise DimensionMismatchError(
                 f"layer {i + 1}: weight shape {w.shape} does not match {want}"
             )
-        if b is None:
-            b = np.zeros(layer.c_out, dtype=np.int64)
-        else:
-            b = np.asarray(b, dtype=np.int64)
-            if b.shape != (layer.c_out,):
-                raise DimensionMismatchError(
-                    f"layer {i + 1}: bias shape {b.shape} does not match ({layer.c_out},)"
-                )
-        # grouped as (groups, c_out per group, k_y, k_x, c_in per group)
+        if b.shape != (layer.c_out,):
+            raise DimensionMismatchError(
+                f"layer {i + 1}: bias shape {b.shape} does not match ({layer.c_out},)"
+            )
         g = layer.groups
-        checked.append((w.reshape(g, layer.c_out // g, *want[1:]), b))
-    return x, checked
+        grouped.append((w.reshape(g, layer.c_out // g, *want[1:]), b))
+    return x, grouped
 
 
 def _conv_layer(layer: LayerSpec, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,11 +189,8 @@ def execute_network_reference(net, input_tensor, weights,
 
     Arithmetic is int64 and wraps modulo 2**64.
     """
-    if net.packing != 1:
-        raise PackingError("execution models one datum per memory word (packing must be 1)")
-    _check_exec_cap(net, cycle_cap)
-    x, checked = _check_vectors(net, input_tensor, weights)
-    for layer, (w, b) in zip(net.layers, checked):
+    x, grouped = _checked_inputs(net, input_tensor, weights, cycle_cap)
+    for layer, (w, b) in zip(net.layers, grouped):
         x = _conv_layer(layer, x, w, b)
     return x
 
@@ -217,8 +203,9 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
     ``k`` lands at ``(output_base + k) % arena_size`` and commits with window
     ``k // c_out``, after that window's reads.  A write is *early* when the
     word it lands on is still due to be read by a later window (residual
-    carry words count as read by window ``x_out * y_out``, past the last),
-    or when the layer already wrote that word (its output wraps the arena).
+    carry words count as read by window ``x_out * y_out``, past the last).
+    An arena smaller than any layer's input or output is refused, so no
+    layer's output wraps onto itself.
 
     In ``checked`` mode the first early write raises :class:`ClobberError`
     with the layer, block and address, the writing window and the victim's
@@ -226,29 +213,26 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
     an unchecked run of a broken plan gives exactly the window-by-window
     result.  Arithmetic is int64 and wraps modulo 2**64, as in the reference.
     """
-    if net.packing != 1:
-        raise PackingError("execution models one datum per memory word (packing must be 1)")
-    _check_exec_cap(net, cycle_cap)
-    x, checked_w = _check_vectors(net, input_tensor, weights)
+    x, grouped = _checked_inputs(net, input_tensor, weights, cycle_cap)
     dims = [derive_dims(layer) for layer in net.layers]
     if [(lp.m_in, lp.m_out) for lp in plan.layer_plans] != [(dd.m_in, dd.m_out) for dd in dims]:
         raise DimensionMismatchError("plan is for another network: per-layer word counts differ")
     size = plan.arena_size
     for lp in plan.layer_plans:
-        if lp.m_in > size:
+        if max(lp.m_in, lp.m_out) > size:
             raise DimensionMismatchError(
-                f"layer {lp.index + 1}: {lp.m_in} input words exceed the {size}-word arena")
+                f"layer {lp.index + 1}: {max(lp.m_in, lp.m_out)} input or output words "
+                f"exceed the {size}-word arena")
     arena = np.zeros(size, dtype=np.int64)
     arena[(plan.layer_plans[0].input_base + np.arange(x.size)) % size] = x.reshape(-1)
-    for idx, (layer, (w, b), lp) in enumerate(zip(net.layers, checked_w, plan.layer_plans)):
-        _run_layer_in_arena(idx, layer, w, b, lp, arena, checked)
+    for layer, dd, (w, b), lp in zip(net.layers, dims, grouped, plan.layer_plans):
+        _run_layer_in_arena(layer, dd, w, b, lp, arena, checked)
     last, dd = net.layers[-1], dims[-1]
     out = arena[(plan.layer_plans[-1].output_base + np.arange(dd.m_out)) % size]
     return out.reshape(dd.y_out, dd.x_out, last.c_out)
 
 
-def _run_layer_in_arena(idx, layer, w, b, lp, arena, checked) -> None:
-    dd = derive_dims(layer)
+def _run_layer_in_arena(layer, dd, w, b, lp, arena, checked) -> None:
     size, c_out = arena.size, layer.c_out
     windows = dd.x_out * dd.y_out
     lrw = _last_read_window(layer)
@@ -266,11 +250,11 @@ def _run_layer_in_arena(idx, layer, w, b, lp, arena, checked) -> None:
         pixel = a // layer.c_in
         victim = np.where(pixel < lrw.size, lrw[np.minimum(pixel, lrw.size - 1)],
                           np.where(a < dd.m_in, windows, -1))
-        early = np.flatnonzero((victim > k // c_out) | (k >= size))
+        early = np.flatnonzero(victim > k // c_out)
         if checked and early.size:
             e = early[0]
-            raise ClobberError(idx, int(k[e]), int(words[e]), window=int(k[e] // c_out),
-                               last_reader=int(victim[e]) if k[e] < size else None)
+            raise ClobberError(lp.index, int(k[e]), int(words[e]), int(k[e] // c_out),
+                               int(victim[e]))
         # a batch ends after each window that writes early
         w0 = c0
         for w1 in [*(k[early] // c_out + 1).tolist(), c1]:

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ChainMismatchError, InvalidLayerError
-from .model import LayerSpec, apply_packing, derive_dims, min_offset
+from .model import apply_packing, derive_dims, min_offset
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """An ordered chain of layers plus an optional packing factor.
+    """An ordered chain of layers plus a packing factor that divides their channel counts.
 
     Consecutive layers must chain exactly: the output geometry of layer ``i``
     is the input geometry of layer ``i + 1``.
@@ -47,6 +47,8 @@ class NetworkSpec:
                         f"layers {i + 1} -> {i + 2}: {field}={got} does not match "
                         f"previous layer's output ({want})"
                     )
+        for layer in self.layers:
+            apply_packing(layer, self.packing)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,6 @@ def render_plan_text(plan: MemoryPlan, memory_map: bool = False) -> str:
 
 def _covers(cell_lo: int, cell_hi: int, start: int, length: int, size: int) -> bool:
     """Does the circular interval [start, start+length) touch [cell_lo, cell_hi)?"""
-    if length <= 0:
-        return False
     if length >= size:
         return True
     end = (start + length) % size
@@ -58,10 +56,10 @@ def _covers(cell_lo: int, cell_hi: int, start: int, length: int, size: int) -> b
     return cell_lo < end or cell_hi > start
 
 
-def render_memory_map(plan: MemoryPlan, width: int = 64) -> str:
+def render_memory_map(plan: MemoryPlan) -> str:
     """One bar per layer: i = input, o = output, x = both in that arena slice."""
     size = plan.arena_size
-    width = min(width, size)
+    width = min(64, size)
     out = [f"memory map ({size:,} words, {width} cells of ~{size / width:.0f} words)"]
     for lp in plan.layer_plans:
         cells = []

@@ -111,13 +111,12 @@ def run_layer_sweep(bounds: SweepBounds = SweepBounds(),
     return summary
 
 
-def random_network(rng: random.Random, n_layers: int | None = None) -> NetworkSpec:
+def random_network(rng: random.Random) -> NetworkSpec:
     """A seeded random chain of 3..6 sweep-domain layers.
 
     The first input is at most 6x6 and every layer has at most 3 channels.
     """
-    if n_layers is None:
-        n_layers = rng.randint(3, 6)
+    n_layers = rng.randint(3, 6)
     x = rng.randint(2, 6)
     y = rng.randint(2, 6)
     c = rng.randint(1, 3)
@@ -197,7 +196,7 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
 
         for li, layer in enumerate(net.layers):
             raw = _raw_min_safe_offset(layer)
-            if raw is None or raw < 1:
+            if raw < 1:
                 continue  # floor-bound: even a zero offset never collides
             summary.tight_probes += 1
             below = list(offsets)

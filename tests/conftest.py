@@ -56,10 +56,10 @@ def loop_nest_exec(net, plan, x, weights, checked=False):
     """In-arena execution stepped one MAC at a time, window by window.
 
     An independent reference for the vectorized executor: Python-int
-    accumulators wrapped to int64 at commit, a dict of live words and a set
-    of written ones.  Raises ``ClobberError(layer, block, address)`` at the
-    first write onto a word that a later window still reads (carry words are
-    live all layer) or that the layer already wrote.
+    accumulators wrapped to int64 at commit and a dict from each live word
+    to its last reading window.  Raises ``ClobberError(layer, block,
+    address, window, last_reader)`` at the first write onto a word that a
+    later window still reads (carry words are live all layer).
     """
     size = plan.arena_size
     arena = np.zeros(size, dtype=np.int64)
@@ -72,7 +72,7 @@ def loop_nest_exec(net, plan, x, weights, checked=False):
         cpg_in = layer.c_in // layer.groups
         cpg_out = layer.c_out // layer.groups
         m_conv = layer.y_in * layer.x_in * layer.c_in
-        live, written = {}, set()
+        live = {}
         reads, _ = loop_nest_trace(layer)
         for k, addr in reads:
             live[(lp.input_base + addr) % size] = k // layer.c_out
@@ -86,7 +86,7 @@ def loop_nest_exec(net, plan, x, weights, checked=False):
                 outs = []
                 for c_out in range(layer.c_out):
                     group = c_out // cpg_out
-                    acc = 0 if b is None else int(b[c_out])
+                    acc = int(b[c_out])
                     for k_y in range(layer.k_y):
                         y = y0 + k_y
                         if not 0 <= y < layer.y_in:
@@ -105,10 +105,9 @@ def loop_nest_exec(net, plan, x, weights, checked=False):
                     k = w_idx * layer.c_out + c_out
                     word = (lp.output_base + k) % size
                     if checked:
-                        last = live.pop(word, None)
-                        if last is not None and last > w_idx or word in written:
-                            raise ClobberError(idx, k, word)
-                        written.add(word)
+                        last = live.pop(word, -1)
+                        if last > w_idx:
+                            raise ClobberError(idx, k, word, w_idx, last)
                     arena[word] = (val + 2**63) % 2**64 - 2**63
                 w_idx += 1
     last = net.layers[-1]

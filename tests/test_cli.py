@@ -94,6 +94,14 @@ class TestVerify:
         assert code == 0  # conservative is safe; only UNSAFE exits nonzero
         assert "conservative" in out and "gap" in out
 
+    def test_unsafe_layer_exits_one(self, capsys, monkeypatch):
+        # a closed form of one word is below both layers' lifetime minimum
+        monkeypatch.setattr("actplan.oracle.min_offset", lambda layer: 1)
+        code, out, _ = run_cli(capsys, "verify", str(FIXTURES / "tiny_pair.net"))
+        assert code == 1
+        assert out == ("layer   1: UNSAFE (closed 1 < minimum 5, paper 5)\n"
+                       "layer   2: UNSAFE (closed 1 < minimum 5, paper 5)\n")
+
     def test_oversized_layer_gets_guidance(self, capsys):
         code, out, _ = run_cli(capsys, "verify",
                                str(bundled_network_path("dmcnn_vd")),

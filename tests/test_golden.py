@@ -1,9 +1,11 @@
-"""Printed plan and verify reports on the bundled networks, pinned byte for byte.
+"""Printed command output, pinned byte for byte.
 
-``tests/golden/<network>.<case>.txt`` holds the stdout of one command and
-``tests/golden/exit_codes.json`` its exit code.  After an intended change to
-any of these outputs, regenerate them with ``PYTHONPATH=src python
-tests/test_golden.py`` and say so in CHANGES.md.
+``plan`` and ``verify`` run on every bundled network, ``exec`` on every test
+fixture and ``sweep`` once at a small size.  ``tests/golden/<key>.txt``
+holds the stdout of one command and ``tests/golden/exit_codes.json`` its
+exit code.  After an intended change to any of these outputs, regenerate
+them with ``PYTHONPATH=src python tests/test_golden.py`` and say so in
+CHANGES.md.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from actplan import bundled_network_path
 from actplan.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 NETWORKS = ("dlib_face", "dmcnn_vd", "dmcnn_vd_64", "mobilenet_v2",
             "single_identity", "yolo_lite")
 CASES = {
@@ -25,20 +28,30 @@ CASES = {
     "verify": ("verify",),
     "verify_json": ("verify", "--format", "json"),
 }
-KEYS = [f"{net}.{case}" for net in NETWORKS for case in CASES]
+EXEC_CASES = {
+    "exec": (),
+    "exec_checked": ("--checked",),
+    "exec_corrupt": ("--corrupt-offset", "5"),
+    "exec_checked_corrupt": ("--checked", "--corrupt-offset", "5"),
+}
+COMMANDS = {
+    **{f"{net}.{case}": (command, str(bundled_network_path(net)), *options)
+       for net in NETWORKS for case, (command, *options) in CASES.items()},
+    **{f"{path.stem}.{case}": ("exec", str(path), *options)
+       for path in sorted(FIXTURES.glob("*.net")) for case, options in EXEC_CASES.items()},
+    "sweep": ("sweep", "--max-dim", "3", "--networks", "5", "--seed", "1"),
+}
 
 
 def run(key):
     """Exit code and stdout of the command that ``key`` names."""
-    net, case = key.split(".")
-    command, *options = CASES[case]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([command, str(bundled_network_path(net)), *options])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(COMMANDS[key]))
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("key", COMMANDS)
 def test_output_is_byte_identical(key):
     code, out = run(key)
     assert out.encode() == (GOLDEN / f"{key}.txt").read_bytes()
@@ -53,7 +66,7 @@ def test_every_bundled_network_is_pinned():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
-    for key in KEYS:
+    for key in COMMANDS:
         codes[key], out = run(key)
         (GOLDEN / f"{key}.txt").write_bytes(out.encode())
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")

@@ -75,6 +75,7 @@ class TestDeriveDims:
             dict(k_x=7),              # wider than the padded image
             dict(groups=3),           # does not divide c_in=4
             dict(groups=4, c_out=6),  # does not divide c_out
+            dict(k_y=7),              # taller than the padded image
         ],
     )
     def test_invalid_layers_rejected(self, kwargs):

@@ -108,6 +108,21 @@ class TestDiagnostics:
         with pytest.raises(NetworkFileError, match=r"^<string>: packing: "):
             parse_network_text(MINIMAL.replace("name: one", "name: one\npacking: 0"))
 
+    @pytest.mark.parametrize("text,message", [
+        ("- 1\n- 2\n", "top level must be a mapping"),
+        (MINIMAL + "extra: 1\n", r"unknown top-level keys \['extra'\]"),
+        (MINIMAL.replace("name: one", ""), "missing or empty 'name'"),
+        ("name: x\nlayers: []\n", "'layers' must be a non-empty list"),
+        ("name: x\nlayers: 3\n", "'layers' must be a non-empty list"),
+        (MINIMAL + "  - 7\n", r"layers\[1\]: layer entry must be a mapping"),
+        (MINIMAL.replace("name: one", "name: one\npacking: 3").replace("c_in: 1", "c_in: 4"),
+         "packing: packing factor 3 does not divide c_in=4"),
+    ], ids=["not_mapping", "unknown_key", "no_name", "empty_layers", "layers_not_list",
+            "layer_not_mapping", "packing_not_dividing"])
+    def test_malformed_document_located(self, text, message):
+        with pytest.raises(NetworkFileError, match=f"^<string>: {message}$"):
+            parse_network_text(text)
+
     def test_missing_file(self):
         with pytest.raises(NetworkFileError):
             parse_network_file(FIXTURES / "does_not_exist.net")

@@ -12,8 +12,10 @@ from actplan import (
     DimensionMismatchError,
     LayerSpec,
     NetworkSpec,
+    PackingError,
     SizeLimitError,
     SweepBounds,
+    SweepSummary,
     bundled_network_path,
     execute_network_in_arena,
     execute_network_reference,
@@ -146,6 +148,16 @@ class TestVerify:
         rep = verify_layer(layer, closed_form_offset=min_safe_offset_bruteforce(layer) - 1)
         assert rep.verdict == "UNSAFE"
 
+    def test_sweep_summary_records_each_verdict(self):
+        # the lifetime minimum of this layer is 3
+        layer = square(2, c_out=2)
+        summary = SweepSummary()
+        for d in (3, 5, 4, 2, 1):
+            summary.record(layer, verify_layer(layer, closed_form_offset=d))
+        assert (summary.total, summary.match, summary.conservative, summary.unsafe) == (5, 1, 2, 2)
+        assert summary.max_gap == 2
+        assert summary.first_conservative == summary.first_unsafe == layer
+
     def test_read_frontier_matches_future_window_needs(self):
         # at t=45 the model's frontier (1) equals the lowest address any
         # later window reads, per the trace
@@ -163,7 +175,7 @@ def identity_weights(net):
         cy, cx = layer.k_y // 2, layer.k_x // 2
         for c in range(layer.c_out):
             w[c, cy, cx, c % (layer.c_in // layer.groups)] = 1
-        weights.append((w, None))
+        weights.append((w, np.zeros(layer.c_out, dtype=np.int64)))
     return weights
 
 
@@ -181,7 +193,7 @@ class TestExecutors:
         net = NetworkSpec("z", (square(3, k=3, p=1),))
         x = np.ones((3, 3, 1), dtype=np.int64)
         w = np.zeros((1, 3, 3, 1), dtype=np.int64)
-        out = execute_network_reference(net, x, [(w, None)])
+        out = execute_network_reference(net, x, [(w, np.zeros(1, dtype=np.int64))])
         assert not out.any()
         out = execute_network_reference(net, x, [(w, np.array([7]))])
         assert (out == 7).all()
@@ -249,13 +261,28 @@ class TestExecutors:
 
     def test_dimension_mismatch(self):
         net = NetworkSpec("n", (square(4),))
-        x = np.zeros((3, 3, 1), dtype=np.int64)
-        with pytest.raises(DimensionMismatchError):
-            execute_network_reference(net, x, identity_weights(net))
-        x = np.zeros((4, 4, 1), dtype=np.int64)
-        w = np.zeros((2, 1, 1, 1), dtype=np.int64)
-        with pytest.raises(DimensionMismatchError):
-            execute_network_reference(net, x, [(w, None)])
+        plan = plan_network(net)
+        good_x = np.zeros((4, 4, 1), dtype=np.int64)
+        (good_w, good_b), = identity_weights(net)
+        for x, weights, match in (
+            (np.zeros((3, 3, 1), dtype=np.int64), [(good_w, good_b)], "input shape"),
+            (good_x, [(np.zeros((2, 1, 1, 1), dtype=np.int64), good_b)], "weight shape"),
+            (good_x, [(good_w, np.zeros(2, dtype=np.int64))], "bias shape"),
+            (good_x, [(good_w, good_b)] * 2, "2 weight sets for 1 layers"),
+        ):
+            with pytest.raises(DimensionMismatchError, match=match):
+                execute_network_reference(net, x, weights)
+            with pytest.raises(DimensionMismatchError, match=match):
+                execute_network_in_arena(net, plan, x, weights)
+
+    def test_packed_network_refused(self):
+        # both executors model one datum per word
+        net = NetworkSpec("packed", (square(2, c_in=2, c_out=2),), packing=2)
+        x, weights = seeded_test_vectors(net, seed=0)
+        with pytest.raises(PackingError):
+            execute_network_reference(net, x, weights)
+        with pytest.raises(PackingError):
+            execute_network_in_arena(net, plan_network(net), x, weights)
 
     def test_exec_cap(self):
         # 256x256 pixels, 9x9 taps, 1024 output channels: 5.4e9 MAC cycles
@@ -271,9 +298,9 @@ class TestExecutors:
     def test_matches_window_by_window_loop(self):
         # random chains, half of them with residual carries, each run at its
         # plan and at three sets of offsets lowered by random amounts, the
-        # last inside an arena shrunk to the largest input: checked runs
-        # clobber at the same (layer, block, address) as the loop, and
-        # unchecked runs give the same words
+        # last inside an arena shrunk to the largest input or output: checked
+        # runs clobber at the same (layer, block, address, window, last
+        # reader) as the loop, and unchecked runs give the same words
         clobbers = 0
         for seed in range(60):
             rng = random.Random(seed)
@@ -291,38 +318,25 @@ class TestExecutors:
                            for lp in plan.layer_plans]
                 size = plan.arena_size
                 if trial == 3:
-                    size = max(lp.m_in for lp in plan.layer_plans)
+                    size = max(max(lp.m_in, lp.m_out) for lp in plan.layer_plans)
                 p = plan_with_offsets(net, offsets, arena_size=size)
                 try:
                     loop_nest_exec(net, p, x, weights, checked=True)
                     want = None
                 except ClobberError as exc:
-                    want = (exc.layer_index, exc.block, exc.address)
+                    want = (exc.layer_index, exc.block, exc.address, exc.window,
+                            exc.last_reader)
                     clobbers += 1
                 try:
                     execute_network_in_arena(net, p, x, weights, checked=True)
                     got = None
                 except ClobberError as exc:
-                    got = (exc.layer_index, exc.block, exc.address)
+                    got = (exc.layer_index, exc.block, exc.address, exc.window,
+                           exc.last_reader)
                 assert got == want, (seed, offsets, size)
                 assert np.array_equal(execute_network_in_arena(net, p, x, weights),
                                       loop_nest_exec(net, p, x, weights)), (seed, offsets, size)
         assert clobbers > 100
-
-    def test_output_wrapping_the_arena_clobbers(self):
-        # one pixel, two output words, a one-word arena: the second word
-        # lands on the first
-        net = NetworkSpec("wrap", (square(1, c_out=2),))
-        x, weights = seeded_test_vectors(net, seed=0)
-        tiny = plan_with_offsets(net, [0], arena_size=1)
-        with pytest.raises(ClobberError, match="second time") as exc:
-            execute_network_in_arena(net, tiny, x, weights, checked=True)
-        assert (exc.value.block, exc.value.window, exc.value.last_reader) == (1, 0, None)
-        with pytest.raises(ClobberError) as loop:
-            loop_nest_exec(net, tiny, x, weights, checked=True)
-        assert (loop.value.block, loop.value.address) == (exc.value.block, exc.value.address)
-        got = execute_network_in_arena(net, tiny, x, weights)
-        assert np.array_equal(got, loop_nest_exec(net, tiny, x, weights))
 
     def test_plan_for_another_network_refused(self):
         # the plan of a network's 2-layer prefix would run 2 of its 4 layers
@@ -333,11 +347,16 @@ class TestExecutors:
         with pytest.raises(DimensionMismatchError, match="another network"):
             execute_network_in_arena(net, plan_network(prefix), x, weights, checked=True)
 
-    def test_arena_smaller_than_input_refused(self):
-        net = NetworkSpec("n", (square(4),))
+    @pytest.mark.parametrize("layer,size,words", [
+        (square(4), 15, 16),           # 16 input words
+        (square(1, c_out=2), 1, 2),    # one input word, two output words
+    ], ids=["input", "output"])
+    def test_arena_smaller_than_input_or_output_refused(self, layer, size, words):
+        # an arena below a layer's output would wrap that output onto itself
+        net = NetworkSpec("n", (layer,))
         x, weights = seeded_test_vectors(net, seed=0)
-        small = plan_with_offsets(net, [1], arena_size=15)
-        with pytest.raises(DimensionMismatchError):
+        small = plan_with_offsets(net, [0], arena_size=size)
+        with pytest.raises(DimensionMismatchError, match=f"layer 1: {words} input or output"):
             execute_network_in_arena(net, small, x, weights)
 
 

@@ -68,18 +68,21 @@ def test_text_render_mentions_key_figures():
 
 
 def test_memory_map_shapes():
-    plan = sample_plan()
-    art = render_memory_map(plan, width=32)
-    lines = art.splitlines()
-    assert len(lines) == 1 + len(plan.layer_plans)
-    body = lines[1].split("|")[1]
-    assert len(body) == 32
-    assert set(body) <= {"i", "o", "x", "."}
-    # every layer has both regions present somewhere
-    for line in lines[1:]:
-        bar = line.split("|")[1]
-        assert any(c in bar for c in ("i", "x"))
-        assert any(c in bar for c in ("o", "x"))
+    # 64 cells, or one per word when the arena is smaller
+    wide = LayerSpec(x_in=8, y_in=8, c_in=1, k_x=3, k_y=3, s_x=1, s_y=1,
+                     p_x=1, p_y=1, c_out=2)
+    for plan, cells in ((sample_plan(), 37), (plan_network(NetworkSpec("wide", (wide,))), 64)):
+        assert min(plan.arena_size, 64) == cells
+        lines = render_memory_map(plan).splitlines()
+        assert len(lines) == 1 + len(plan.layer_plans)
+        body = lines[1].split("|")[1]
+        assert len(body) == cells
+        assert set(body) <= {"i", "o", "x", "."}
+        # every layer has both regions present somewhere
+        for line in lines[1:]:
+            bar = line.split("|")[1]
+            assert any(c in bar for c in ("i", "x"))
+            assert any(c in bar for c in ("o", "x"))
 
 
 def test_humanize():
