@@ -10,7 +10,15 @@ class InvalidLayerError(ActplanError):
 
 
 class ChainMismatchError(ActplanError):
-    """Consecutive layers in a network do not chain (out dims != next in dims)."""
+    """Consecutive layers in a network do not chain (out dims != next in dims).
+
+    ``layer_index`` is the 0-based index of the layer whose input does not
+    match its predecessor's output.
+    """
+
+    def __init__(self, message, layer_index):
+        self.layer_index = layer_index
+        super().__init__(message)
 
 
 class PackingError(ActplanError):

@@ -18,8 +18,8 @@ the model evaluated at each window's last block, in one numpy pass.
 
 Plans do not use the pointer model.  ``min_offset`` is the exact lifetime
 minimum, a separable formula over the last window that reads each input row
-and column; the planner turns it into each layer's joint footprint
-``max(m_in + d, m_out)``.
+and column, evaluated at no more than three candidate indices per axis; the
+planner turns it into each layer's joint footprint ``max(m_in + d, m_out)``.
 """
 
 from __future__ import annotations
@@ -158,17 +158,25 @@ def paper_offset(layer: LayerSpec) -> int:
     return 1 + max(0, int(gap.max()))
 
 
-def _last_readers(n_in: int, k: int, s: int, p: int, n_out: int):
-    """``(i, j)`` for every input index ``i`` along one axis that is read.
+def _axis_terms(n_in: int, k: int, s: int, p: int, n_out: int, a: int, b: int):
+    """Candidates for the largest ``a*j(i) - b*i`` over the read indices ``i``.
 
-    Window ``j`` covers ``[j*s - p, j*s - p + k)``.  The last window starting
-    at or before ``i`` is ``min(n_out - 1, (i + p) // s)``; ``i`` is read iff
-    that window still reaches it.
+    Window ``j`` covers ``[j*s - p, j*s - p + k)`` and ``j(i) = min(n_out - 1,
+    (i + p) // s)`` is the last window reading ``i``.  For a fixed ``j`` the
+    term is largest at the smallest index ``j`` reads last, ``max(0, j*s - p)``.
+    The windows that are last for some index run from ``j(0)`` to
+    ``j(n_in - 1)``, and only ``j(0)`` can lie below ``ceil(p/s)``; its
+    smallest index is 0, which counts only if that window still reaches it.
+    For ``j >= ceil(p/s)`` the index is ``j*s - p``, always read, so the term
+    is linear in ``j`` and peaks at either end of the range.  An empty list
+    means no index along the axis is read.
     """
-    for i in range(n_in):
-        j = min(n_out - 1, (i + p) // s)
-        if i < j * s - p + k:
-            yield i, j
+    j0 = min(n_out - 1, p // s)
+    terms = [a * j0] if j0 * s - p + k > 0 else []
+    lo, hi = _ceildiv(p, s), min(n_out - 1, (n_in - 1 + p) // s)
+    if lo <= hi:
+        terms += [(a - b * s) * j + b * p for j in (lo, hi)]
+    return terms
 
 
 def min_offset(layer: LayerSpec) -> int:
@@ -179,16 +187,18 @@ def min_offset(layer: LayerSpec) -> int:
     ``a`` whose last reading window is ``w`` needs ``d >= c_out * w - a``.
     The last window reading pixel ``(y, x)`` is ``ly(y) * x_out + lx(x)``
     and channel 0 has the pixel's lowest address, so the maximum over all
-    words separates into a row term and a column term, each a scan of one
-    axis.  The result is floored at one word (strict separation).  A
+    words separates into a row term and a column term, each the maximum of
+    at most three candidates along its axis (see ``_axis_terms``), so the
+    cost does not grow with the image.  The result is floored at one word
+    (strict separation); an axis with no index read leaves it at one.  A
     residual carry sits above the input and stays live all layer, so the
     last output word must land below it: ``d >= m_out - x_in*y_in*c_in``.
     """
     dd = derive_dims(layer)
-    rows = [layer.c_out * dd.x_out * j - i * layer.x_in * layer.c_in
-            for i, j in _last_readers(layer.y_in, layer.k_y, layer.s_y, layer.p_y, dd.y_out)]
-    cols = [layer.c_out * j - i * layer.c_in
-            for i, j in _last_readers(layer.x_in, layer.k_x, layer.s_x, layer.p_x, dd.x_out)]
+    rows = _axis_terms(layer.y_in, layer.k_y, layer.s_y, layer.p_y, dd.y_out,
+                       layer.c_out * dd.x_out, layer.x_in * layer.c_in)
+    cols = _axis_terms(layer.x_in, layer.k_x, layer.s_x, layer.p_x, dd.x_out,
+                       layer.c_out, layer.c_in)
     d = max(1, max(rows) + max(cols)) if rows and cols else 1
     if layer.residual_carry_words:
         d = max(d, dd.m_out - layer.x_in * layer.y_in * layer.c_in)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import InvalidLayerError, NetworkFileError, PackingError
+from .errors import ChainMismatchError, InvalidLayerError, NetworkFileError, PackingError
 from .model import LayerSpec, derive_dims
 from .planner import NetworkSpec
 
@@ -90,6 +90,9 @@ def _build(doc, source: str) -> NetworkSpec:
 
     try:
         return NetworkSpec(name=name, layers=tuple(layers), packing=doc.get("packing", 1))
+    except ChainMismatchError as exc:
+        raise ChainMismatchError(f"{source}: layers[{exc.layer_index}]: {exc}",
+                                 exc.layer_index) from exc
     except (InvalidLayerError, PackingError) as exc:
         raise NetworkFileError(str(exc), location=f"{source}: packing") from exc
 

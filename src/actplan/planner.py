@@ -45,7 +45,7 @@ class NetworkSpec:
                 if got != want:
                     raise ChainMismatchError(
                         f"layers {i + 1} -> {i + 2}: {field}={got} does not match "
-                        f"previous layer's output ({want})"
+                        f"previous layer's output ({want})", i + 1
                     )
         for layer in self.layers:
             apply_packing(layer, self.packing)

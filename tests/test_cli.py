@@ -46,9 +46,13 @@ class TestPlan:
         assert 49.0 < doc["savings_activations_pct"] < 50.0
 
     def test_bad_chain_exits_nonzero_with_diagnostic(self, capsys):
-        code, out, err = run_cli(capsys, "plan", str(FIXTURES / "bad_chain.net"))
-        assert code == 2
-        assert "layers 1 -> 2" in err
+        # the diagnostic names the file and the layer entry, like every other
+        # value error from a network file
+        path = FIXTURES / "bad_chain.net"
+        code, out, err = run_cli(capsys, "plan", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: layers[1]: layers 1 -> 2: c_in=4 does not match "
+                       "previous layer's output (8)\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "plan", "no_such_file.net")

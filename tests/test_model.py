@@ -1,5 +1,7 @@
 """Closed-form pointer model: geometry, pointers, offsets, packing."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,18 @@ from actplan import (
     LayerSpec,
     NetworkSpec,
     PackingError,
+    SweepBounds,
     apply_packing,
     bundled_network_path,
     derive_dims,
     min_offset,
+    min_safe_offset_bruteforce,
     packed_layers,
     paper_offset,
     parse_network_file,
     plan_network,
     read_pointer_at,
+    sweep_layer_configs,
 )
 
 # paper_offset of every layer of every bundled file, as computed by the
@@ -34,6 +39,27 @@ BUNDLED_PAPER_OFFSETS = {
 def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1, carry=0):
     return LayerSpec(x_in=edge, y_in=edge, c_in=c_in, k_x=k, k_y=k, s_x=s, s_y=s,
                      p_x=p, p_y=p, c_out=c_out, groups=groups, residual_carry_words=carry)
+
+
+def scan_min_offset(layer):
+    """``min_offset`` as a scan over every input row and column: for each
+    index read along an axis, its last reading window ``j``."""
+    dd = derive_dims(layer)
+
+    def readers(n_in, k, s, p, n_out):
+        for i in range(n_in):
+            j = min(n_out - 1, (i + p) // s)
+            if i < j * s - p + k:
+                yield i, j
+
+    rows = [layer.c_out * dd.x_out * j - i * layer.x_in * layer.c_in
+            for i, j in readers(layer.y_in, layer.k_y, layer.s_y, layer.p_y, dd.y_out)]
+    cols = [layer.c_out * j - i * layer.c_in
+            for i, j in readers(layer.x_in, layer.k_x, layer.s_x, layer.p_x, dd.x_out)]
+    d = max(1, max(rows) + max(cols)) if rows and cols else 1
+    if layer.residual_carry_words:
+        d = max(d, dd.m_out - layer.x_in * layer.y_in * layer.c_in)
+    return d
 
 
 def solo_plan(layer):
@@ -123,6 +149,40 @@ class TestMinOffset:
     def test_same_padding_three_by_three(self):
         # steady state: one padded row plus one word
         assert min_offset(square(4, k=3, p=1)) == 5
+
+    def test_axis_without_a_read_index(self):
+        # the only window starts at -2 and covers [-2, -1): no input is read
+        assert min_offset(square(1, k=1, s=3, p=2)) == 1
+
+    def test_constant_time_in_the_image_edge(self):
+        # the steady state of test_same_padding_three_by_three at 10**9 x 10**9;
+        # a per-row or per-column scan would not return
+        assert min_offset(square(10**9, k=3, p=1)) == 10**9 + 1
+
+    def test_equals_oracle_at_large_stride_and_padding(self):
+        # stride and padding up to 4 reach the p // s and ceil(p / s)
+        # branches that the default sweep (stride and padding <= 2) does not
+        bounds = SweepBounds(max_dim=7, max_kernel=5, max_stride=4, max_pad=4,
+                             max_channels=2, grouped=False)
+        layers = list(sweep_layer_configs(bounds))
+        assert len(layers) == 17248
+        for layer in layers:
+            assert min_offset(layer) == min_safe_offset_bruteforce(layer), layer
+
+    def test_equals_row_and_column_scan(self):
+        # edges up to 300, where the oracle is too slow to compare with
+        rng = random.Random(11)
+        for _ in range(2000):
+            k_x, k_y = rng.randint(1, 9), rng.randint(1, 9)
+            s_x, s_y = rng.randint(1, 6), rng.randint(1, 6)
+            p_x, p_y = rng.randint(0, 8), rng.randint(0, 8)
+            x_in = rng.randint(max(1, k_x - 2 * p_x), 300)
+            y_in = rng.randint(max(1, k_y - 2 * p_y), 300)
+            layer = LayerSpec(x_in=x_in, y_in=y_in, c_in=rng.randint(1, 64),
+                              k_x=k_x, k_y=k_y, s_x=s_x, s_y=s_y, p_x=p_x, p_y=p_y,
+                              c_out=rng.randint(1, 64),
+                              residual_carry_words=rng.choice([0, 0, rng.randint(1, 5000)]))
+            assert min_offset(layer) == scan_min_offset(layer), layer
 
     def test_min_layer_memory(self):
         assert solo_plan(square(4)).arena_size == 17

@@ -42,11 +42,13 @@ layers:
         assert (second.x_in, second.y_in, second.c_in) == (3, 2, 8)
 
     def test_explicit_restatement_must_agree(self):
-        with pytest.raises(ChainMismatchError, match=r"layers 1 -> 2.*c_in=4"):
+        with pytest.raises(ChainMismatchError,
+                           match=r"bad_chain\.net: layers\[1\]: layers 1 -> 2.*c_in=4"):
             parse_network_file(FIXTURES / "bad_chain.net")
 
     def test_restated_mismatch_names_its_layer_pair(self):
-        with pytest.raises(ChainMismatchError, match=r"layers 2 -> 3: x_in=4 .*\(3\)"):
+        with pytest.raises(ChainMismatchError,
+                           match=r"<string>: layers\[2\]: layers 2 -> 3: x_in=4 .*\(3\)"):
             parse_network_text(
                 """
 name: three
