@@ -18,10 +18,8 @@ from .errors import (
     SizeLimitError,
 )
 from .model import (
-    DerivedDims,
     LayerSpec,
     apply_packing,
-    derive_dims,
     min_offset,
     paper_offset,
     read_pointer_at,
@@ -60,8 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActplanError", "ChainMismatchError", "ClobberError", "DimensionMismatchError",
     "InvalidLayerError", "NetworkFileError", "PackingError", "SizeLimitError",
-    "LayerSpec", "DerivedDims",
-    "derive_dims", "read_pointer_at", "paper_offset", "min_offset", "apply_packing",
+    "LayerSpec", "read_pointer_at", "paper_offset", "min_offset", "apply_packing",
     "OracleReport", "min_safe_offset_bruteforce", "verify_layer",
     "execute_network_reference", "execute_network_in_arena", "seeded_test_vectors",
     "NetworkSpec", "LayerPlan", "MemoryPlan", "packed_layers", "plan_network",

@@ -1,4 +1,4 @@
-"""Layer geometry and the closed-form offset for overlapping buffers.
+"""Layer geometry, its derived sizes and the closed-form offset for overlapping buffers.
 
 A convolution layer whose activations are stored depth-first (all channels of
 a pixel, then pixels along x, then rows along y) reads its input through a
@@ -42,6 +42,10 @@ class LayerSpec:
     consecutive words.  ``residual_carry_words`` reserves extra live words
     (identity/skip data) that must survive this layer; they sit directly
     above the convolution input and enlarge its footprint only.
+
+    The derived sizes ``x_out``, ``y_out``, ``m_in``, ``m_out`` and
+    ``block_cycles`` are read-only properties, computed on each access so
+    that ``vars(layer)`` holds the fields alone.
     """
 
     x_in: int
@@ -79,34 +83,35 @@ class LayerSpec:
                 f"groups={self.groups} must divide c_in={self.c_in} and c_out={self.c_out}"
             )
 
+    @property
+    def x_out(self) -> int:
+        """Output width: the number of window positions along x."""
+        return _out_size(self.x_in, self.k_x, self.s_x, self.p_x)
 
-@dataclass(frozen=True)
-class DerivedDims:
-    """Sizes derived from a :class:`LayerSpec`.
+    @property
+    def y_out(self) -> int:
+        """Output height: the number of window positions along y."""
+        return _out_size(self.y_in, self.k_y, self.s_y, self.p_y)
 
-    ``m_in`` counts the words live on the input side (convolution input plus
-    any residual carry); ``m_out`` is the number of output elements, one per
-    accumulation block.
-    """
+    @property
+    def m_in(self) -> int:
+        """Words live on the input side: convolution input plus residual carry."""
+        return self.x_in * self.y_in * self.c_in + self.residual_carry_words
 
-    x_out: int
-    y_out: int
-    m_in: int
-    m_out: int
-    block_cycles: int
+    @property
+    def m_out(self) -> int:
+        """Output elements, one per accumulation block."""
+        return self.x_out * self.y_out * self.c_out
+
+    @property
+    def block_cycles(self) -> int:
+        """MAC cycles per output block: one per tap of a group's input channels."""
+        return (self.c_in // self.groups) * self.k_x * self.k_y
 
 
-def derive_dims(layer: LayerSpec) -> DerivedDims:
-    """Output geometry, word counts and per-block cycle count for a layer."""
-    x_out = (2 * layer.p_x + layer.x_in - layer.k_x) // layer.s_x + 1
-    y_out = (2 * layer.p_y + layer.y_in - layer.k_y) // layer.s_y + 1
-    return DerivedDims(
-        x_out=x_out,
-        y_out=y_out,
-        m_in=layer.x_in * layer.y_in * layer.c_in + layer.residual_carry_words,
-        m_out=x_out * y_out * layer.c_out,
-        block_cycles=(layer.c_in // layer.groups) * layer.k_x * layer.k_y,
-    )
+def _out_size(n_in: int, k: int, s: int, p: int) -> int:
+    """Window positions along one axis of ``n_in`` entries padded by ``p``."""
+    return (2 * p + n_in - k) // s + 1
 
 
 def _ceildiv(a: int, b: int) -> int:
@@ -131,13 +136,12 @@ def read_pointer_at(t, layer: LayerSpec):
     """
     if np.any(np.asarray(t) < 0):
         raise ValueError("cycle index must be >= 0")
-    dd = derive_dims(layer)
-    window = layer.c_out * dd.block_cycles
-    row = dd.x_out * window
+    window = layer.c_out * layer.block_cycles
+    row = layer.x_out * window
     x_term = (t // window) * (layer.s_x * layer.c_in)
     y_term = (t // row) * ((layer.s_y - 1) * layer.c_in * layer.x_in)
     top_pad = layer.p_y * layer.c_in * layer.x_in
-    overshoot = dd.x_out * layer.s_x - layer.x_in
+    overshoot = layer.x_out * layer.s_x - layer.x_in
     side = _ceildiv(t, row) * max(0, overshoot * layer.s_x * layer.c_in)
     return np.maximum(0, x_term + y_term - top_pad - side)
 
@@ -152,9 +156,8 @@ def paper_offset(layer: LayerSpec) -> int:
     window's largest gap is at its last block.  This is the paper's model,
     kept for comparison; plans use :func:`min_offset`.
     """
-    dd = derive_dims(layer)
-    last = np.arange(1, dd.x_out * dd.y_out + 1, dtype=np.int64) * layer.c_out - 1
-    gap = last - read_pointer_at(last * dd.block_cycles, layer)
+    last = np.arange(1, layer.x_out * layer.y_out + 1, dtype=np.int64) * layer.c_out - 1
+    gap = last - read_pointer_at(last * layer.block_cycles, layer)
     return 1 + max(0, int(gap.max()))
 
 
@@ -193,15 +196,19 @@ def min_offset(layer: LayerSpec) -> int:
     (strict separation); an axis with no index read leaves it at one.  A
     residual carry sits above the input and stays live all layer, so the
     last output word must land below it: ``d >= m_out - x_in*y_in*c_in``.
+
+    Only the fields are read, so a plain namespace of them will do, as
+    ``benchmarks/workloads.py`` passes.
     """
-    dd = derive_dims(layer)
-    rows = _axis_terms(layer.y_in, layer.k_y, layer.s_y, layer.p_y, dd.y_out,
-                       layer.c_out * dd.x_out, layer.x_in * layer.c_in)
-    cols = _axis_terms(layer.x_in, layer.k_x, layer.s_x, layer.p_x, dd.x_out,
+    x_out = _out_size(layer.x_in, layer.k_x, layer.s_x, layer.p_x)
+    y_out = _out_size(layer.y_in, layer.k_y, layer.s_y, layer.p_y)
+    rows = _axis_terms(layer.y_in, layer.k_y, layer.s_y, layer.p_y, y_out,
+                       layer.c_out * x_out, layer.x_in * layer.c_in)
+    cols = _axis_terms(layer.x_in, layer.k_x, layer.s_x, layer.p_x, x_out,
                        layer.c_out, layer.c_in)
     d = max(1, max(rows) + max(cols)) if rows and cols else 1
     if layer.residual_carry_words:
-        d = max(d, dd.m_out - layer.x_in * layer.y_in * layer.c_in)
+        d = max(d, x_out * y_out * layer.c_out - layer.x_in * layer.y_in * layer.c_in)
     return d
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ChainMismatchError, InvalidLayerError, NetworkFileError, PackingError
-from .model import LayerSpec, derive_dims
+from .model import LayerSpec
 from .planner import NetworkSpec
 
 _REQUIRED = ("k_x", "k_y", "s_x", "s_y", "p_x", "p_y", "c_out")
@@ -81,8 +81,8 @@ def _build(doc, source: str) -> NetworkSpec:
                 raise NetworkFileError(f"first layer must state {missing}", location=where)
         else:
             # restated input dims override these; NetworkSpec checks the chain
-            dd = derive_dims(layers[-1])
-            inherited = dict(zip(_FIRST_ONLY, (dd.x_out, dd.y_out, layers[-1].c_out)))
+            prev = layers[-1]
+            inherited = dict(zip(_FIRST_ONLY, (prev.x_out, prev.y_out, prev.c_out)))
         try:
             layers.append(LayerSpec(**{**inherited, **entry}))
         except InvalidLayerError as exc:
@@ -93,7 +93,7 @@ def _build(doc, source: str) -> NetworkSpec:
     except ChainMismatchError as exc:
         raise ChainMismatchError(f"{source}: layers[{exc.layer_index}]: {exc}",
                                  exc.layer_index) from exc
-    except (InvalidLayerError, PackingError) as exc:
+    except PackingError as exc:
         raise NetworkFileError(str(exc), location=f"{source}: packing") from exc
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ClobberError, DimensionMismatchError, PackingError, SizeLimitError
-from .model import LayerSpec, derive_dims, min_offset
+from .model import LayerSpec, min_offset
 
 # Cap on MAC cycles, m_out * block_cycles: per layer for the oracle, summed
 # over the network's layers for the executors.
@@ -42,8 +42,7 @@ class OracleReport:
 
 
 def _check_cap(layer: LayerSpec, cap: int) -> None:
-    dd = derive_dims(layer)
-    cycles = dd.m_out * dd.block_cycles
+    cycles = layer.m_out * layer.block_cycles
     if cycles > cap:
         raise SizeLimitError(
             f"layer needs {cycles} MAC cycles, above the brute-force cap of {cap}; "
@@ -54,15 +53,14 @@ def _check_cap(layer: LayerSpec, cap: int) -> None:
 def _reads(layer: LayerSpec):
     """Every in-bounds read as row and column terms: window ``wy + wx`` reads
     pixel ``py + px`` for each row read ``(wy, py)`` and column read ``(wx, px)``."""
-    dd = derive_dims(layer)
     axes = []
-    for n_out, s, p, k, n_in in ((dd.y_out, layer.s_y, layer.p_y, layer.k_y, layer.y_in),
-                                 (dd.x_out, layer.s_x, layer.p_x, layer.k_x, layer.x_in)):
+    for n_out, s, p, k, n_in in ((layer.y_out, layer.s_y, layer.p_y, layer.k_y, layer.y_in),
+                                 (layer.x_out, layer.s_x, layer.p_x, layer.k_x, layer.x_in)):
         pos = np.add.outer(np.arange(-p, n_out * s - p, s), np.arange(k))
         inside = (pos >= 0) & (pos < n_in)
         axes.append((np.nonzero(inside)[0], pos[inside]))
     (oy, y), (ox, x) = axes
-    return (oy * dd.x_out, y * layer.x_in), (ox, x)
+    return (oy * layer.x_out, y * layer.x_in), (ox, x)
 
 
 def _last_read_window(layer: LayerSpec) -> np.ndarray:
@@ -139,7 +137,7 @@ def _checked_inputs(net, input_tensor, weights, cap: int):
     layers = net.layers
     if net.packing != 1:
         raise PackingError("execution models one datum per memory word (packing must be 1)")
-    cycles = sum(dd.m_out * dd.block_cycles for dd in map(derive_dims, layers))
+    cycles = sum(layer.m_out * layer.block_cycles for layer in layers)
     if cycles > cap:
         raise SizeLimitError(
             f"network needs {cycles} MAC cycles, above the execution cap of {cap}; "
@@ -174,13 +172,12 @@ def _checked_inputs(net, input_tensor, weights, cap: int):
 
 def _conv_layer(layer: LayerSpec, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain padded integer convolution (identity activation)."""
-    dd = derive_dims(layer)
     padded = np.pad(x, ((layer.p_y, layer.p_y), (layer.p_x, layer.p_x), (0, 0)))
     win = sliding_window_view(padded, (layer.k_y, layer.k_x), axis=(0, 1))
     win = win[::layer.s_y, ::layer.s_x].reshape(
-        dd.y_out, dd.x_out, layer.groups, -1, layer.k_y, layer.k_x)
+        layer.y_out, layer.x_out, layer.groups, -1, layer.k_y, layer.k_x)
     out = np.einsum("yxgcij,goijc->yxgo", win, w)
-    return out.reshape(dd.y_out, dd.x_out, layer.c_out) + b
+    return out.reshape(layer.y_out, layer.x_out, layer.c_out) + b
 
 
 def execute_network_reference(net, input_tensor, weights,
@@ -214,8 +211,8 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
     result.  Arithmetic is int64 and wraps modulo 2**64, as in the reference.
     """
     x, grouped = _checked_inputs(net, input_tensor, weights, cycle_cap)
-    dims = [derive_dims(layer) for layer in net.layers]
-    if [(lp.m_in, lp.m_out) for lp in plan.layer_plans] != [(dd.m_in, dd.m_out) for dd in dims]:
+    if ([(lp.m_in, lp.m_out) for lp in plan.layer_plans]
+            != [(layer.m_in, layer.m_out) for layer in net.layers]):
         raise DimensionMismatchError("plan is for another network: per-layer word counts differ")
     size = plan.arena_size
     for lp in plan.layer_plans:
@@ -225,16 +222,16 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
                 f"exceed the {size}-word arena")
     arena = np.zeros(size, dtype=np.int64)
     arena[(plan.layer_plans[0].input_base + np.arange(x.size)) % size] = x.reshape(-1)
-    for layer, dd, (w, b), lp in zip(net.layers, dims, grouped, plan.layer_plans):
-        _run_layer_in_arena(layer, dd, w, b, lp, arena, checked)
-    last, dd = net.layers[-1], dims[-1]
-    out = arena[(plan.layer_plans[-1].output_base + np.arange(dd.m_out)) % size]
-    return out.reshape(dd.y_out, dd.x_out, last.c_out)
+    for layer, (w, b), lp in zip(net.layers, grouped, plan.layer_plans):
+        _run_layer_in_arena(layer, w, b, lp, arena, checked)
+    last = net.layers[-1]
+    out = arena[(plan.layer_plans[-1].output_base + np.arange(last.m_out)) % size]
+    return out.reshape(last.y_out, last.x_out, last.c_out)
 
 
-def _run_layer_in_arena(layer, dd, w, b, lp, arena, checked) -> None:
+def _run_layer_in_arena(layer, w, b, lp, arena, checked) -> None:
     size, c_out = arena.size, layer.c_out
-    windows = dd.x_out * dd.y_out
+    windows = layer.x_out * layer.y_out
     lrw = _last_read_window(layer)
     # a window's tap addresses relative to its top-left input word
     taps = ((np.arange(layer.k_y)[:, None] * layer.x_in + np.arange(layer.k_x))[..., None]
@@ -249,7 +246,7 @@ def _run_layer_in_arena(layer, dd, w, b, lp, arena, checked) -> None:
         a = (words - lp.input_base) % size
         pixel = a // layer.c_in
         victim = np.where(pixel < lrw.size, lrw[np.minimum(pixel, lrw.size - 1)],
-                          np.where(a < dd.m_in, windows, -1))
+                          np.where(a < layer.m_in, windows, -1))
         early = np.flatnonzero(victim > k // c_out)
         if checked and early.size:
             e = early[0]
@@ -259,19 +256,19 @@ def _run_layer_in_arena(layer, dd, w, b, lp, arena, checked) -> None:
         w0 = c0
         for w1 in [*(k[early] // c_out + 1).tolist(), c1]:
             if w1 > w0:
-                _run_windows(layer, dd, w, b, lp, arena, taps, w0, w1)
+                _run_windows(layer, w, b, lp, arena, taps, w0, w1)
                 w0 = w1
 
 
-def _run_windows(layer, dd, w, b, lp, arena, taps, w0, w1) -> None:
+def _run_windows(layer, w, b, lp, arena, taps, w0, w1) -> None:
     """Windows ``w0 .. w1 - 1``: one gather, one contraction, one scatter.
 
     Valid when none of these windows but the last writes early: then no
     window in the batch reads a word an earlier one of them wrote.
     """
     n = np.arange(w0, w1)
-    y0 = n // dd.x_out * layer.s_y - layer.p_y
-    x0 = n % dd.x_out * layer.s_x - layer.p_x
+    y0 = n // layer.x_out * layer.s_y - layer.p_y
+    x0 = n % layer.x_out * layer.s_x - layer.p_x
     ys = y0[:, None] + np.arange(layer.k_y)
     xs = x0[:, None] + np.arange(layer.k_x)
     inside = (((ys >= 0) & (ys < layer.y_in))[:, :, None]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ChainMismatchError, InvalidLayerError
-from .model import apply_packing, derive_dims, min_offset
+from .model import apply_packing, min_offset
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,11 @@ class NetworkSpec:
         if not self.layers:
             raise InvalidLayerError("a network needs at least one layer")
         object.__setattr__(self, "layers", tuple(self.layers))
-        if not isinstance(self.packing, int) or isinstance(self.packing, bool) or self.packing < 1:
-            raise InvalidLayerError(f"packing must be an integer >= 1, got {self.packing!r}")
         for i in range(len(self.layers) - 1):
             cur, nxt = self.layers[i], self.layers[i + 1]
-            dd = derive_dims(cur)
             for field, got, want in (
-                ("x_in", nxt.x_in, dd.x_out),
-                ("y_in", nxt.y_in, dd.y_out),
+                ("x_in", nxt.x_in, cur.x_out),
+                ("y_in", nxt.y_in, cur.y_out),
                 ("c_in", nxt.c_in, cur.c_out),
             ):
                 if got != want:
@@ -109,22 +106,22 @@ def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
         )
     if any(d < 0 for d in offsets):
         raise InvalidLayerError("offsets must be >= 0")
-    dims = [derive_dims(layer) for layer in packed_layers(net)]
-    m_mins = [dd.m_in + d for dd, d in zip(dims, offsets)]
+    layers = packed_layers(net)
+    m_mins = [layer.m_in + d for layer, d in zip(layers, offsets)]
     # A layer can emit more words than m_in + d spans (channel expansion,
     # windows over padding); the arena must still hold its full output.
-    needed = max(max(m_mins), max(dd.m_out for dd in dims))
+    needed = max(max(m_mins), max(layer.m_out for layer in layers))
     size = needed if arena_size is None else arena_size
 
     plans = []
     base = 0
-    for i, (dd, d, mm) in enumerate(zip(dims, offsets, m_mins)):
+    for i, (layer, d, mm) in enumerate(zip(layers, offsets, m_mins)):
         out_base = (base - d) % size
         plans.append(
             LayerPlan(
                 index=i,
-                m_in=dd.m_in,
-                m_out=dd.m_out,
+                m_in=layer.m_in,
+                m_out=layer.m_out,
                 d=d,
                 m_min_layer=mm,
                 input_base=base,
@@ -136,8 +133,8 @@ def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
     # the disjoint baseline keeps each layer's input (with residual
     # carries) and output live at once; weights and biases take one word
     # per parameter of the unpacked layers
-    pingpong = max(dd.m_in + dd.m_out for dd in dims)
-    params = sum(l.k_x * l.k_y * (l.c_in // l.groups) * l.c_out + l.c_out for l in net.layers)
+    pingpong = max(layer.m_in + layer.m_out for layer in layers)
+    params = sum((l.block_cycles + 1) * l.c_out for l in net.layers)
     savings_act = (pingpong - size) / pingpong * 100.0
     savings_total = ((params + pingpong) - (params + size)) / (params + pingpong) * 100.0
     return MemoryPlan(

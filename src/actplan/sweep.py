@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClobberError
-from .model import LayerSpec, derive_dims
+from .model import LayerSpec
 from .oracle import (
     DEFAULT_CYCLE_CAP,
     _raw_min_safe_offset,
@@ -137,8 +137,7 @@ def random_network(rng: random.Random) -> NetworkSpec:
             p_x=p, p_y=p, c_out=c_out, groups=groups,
         )
         layers.append(layer)
-        dd = derive_dims(layer)
-        x, y, c = dd.x_out, dd.y_out, layer.c_out
+        x, y, c = layer.x_out, layer.y_out, layer.c_out
     return NetworkSpec(name=f"random-{n_layers}", layers=tuple(layers))
 
 

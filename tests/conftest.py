@@ -1,9 +1,10 @@
-"""Shared pytest plumbing: the acceptance suite's per-criterion summary, and
-literal loop-nest references for the oracle and executor tests."""
+"""Shared pytest plumbing: the acceptance suite's per-criterion summary, a
+square-layer builder, and literal loop-nest references for the oracle and
+executor tests."""
 
 import numpy as np
 
-from actplan import ClobberError
+from actplan import ClobberError, LayerSpec
 
 acceptance_lines = []
 
@@ -18,6 +19,12 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in acceptance_lines:
         terminalreporter.write_line(line)
+
+
+def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1, carry=0):
+    """A layer with equal width and height, kernel, stride and padding."""
+    return LayerSpec(x_in=edge, y_in=edge, c_in=c_in, k_x=k, k_y=k, s_x=s, s_y=s,
+                     p_x=p, p_y=p, c_out=c_out, groups=groups, residual_carry_words=carry)
 
 
 def loop_nest_trace(layer):

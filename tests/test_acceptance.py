@@ -9,7 +9,6 @@ criterion 4 (inputs printed too coarsely).  The sibling assertions pin down
 what holds instead.
 """
 
-import numpy as np
 import pytest
 
 from actplan import (

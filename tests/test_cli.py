@@ -3,8 +3,6 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from actplan import LayerPlan, MemoryPlan, bundled_network_path, parse_network_file, plan_network
 from actplan.cli import main
 

@@ -1,6 +1,8 @@
 """Closed-form pointer model: geometry, pointers, offsets, packing."""
 
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from actplan import (
     SweepBounds,
     apply_packing,
     bundled_network_path,
-    derive_dims,
     min_offset,
     min_safe_offset_bruteforce,
     packed_layers,
@@ -23,6 +24,8 @@ from actplan import (
     read_pointer_at,
     sweep_layer_configs,
 )
+
+from conftest import square
 
 # paper_offset of every layer of every bundled file, as computed by the
 # earlier per-row candidate scan; pins the pointer model at full scale
@@ -36,15 +39,9 @@ BUNDLED_PAPER_OFFSETS = {
 }
 
 
-def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1, carry=0):
-    return LayerSpec(x_in=edge, y_in=edge, c_in=c_in, k_x=k, k_y=k, s_x=s, s_y=s,
-                     p_x=p, p_y=p, c_out=c_out, groups=groups, residual_carry_words=carry)
-
-
 def scan_min_offset(layer):
     """``min_offset`` as a scan over every input row and column: for each
     index read along an axis, its last reading window ``j``."""
-    dd = derive_dims(layer)
 
     def readers(n_in, k, s, p, n_out):
         for i in range(n_in):
@@ -52,13 +49,13 @@ def scan_min_offset(layer):
             if i < j * s - p + k:
                 yield i, j
 
-    rows = [layer.c_out * dd.x_out * j - i * layer.x_in * layer.c_in
-            for i, j in readers(layer.y_in, layer.k_y, layer.s_y, layer.p_y, dd.y_out)]
+    rows = [layer.c_out * layer.x_out * j - i * layer.x_in * layer.c_in
+            for i, j in readers(layer.y_in, layer.k_y, layer.s_y, layer.p_y, layer.y_out)]
     cols = [layer.c_out * j - i * layer.c_in
-            for i, j in readers(layer.x_in, layer.k_x, layer.s_x, layer.p_x, dd.x_out)]
+            for i, j in readers(layer.x_in, layer.k_x, layer.s_x, layer.p_x, layer.x_out)]
     d = max(1, max(rows) + max(cols)) if rows and cols else 1
     if layer.residual_carry_words:
-        d = max(d, dd.m_out - layer.x_in * layer.y_in * layer.c_in)
+        d = max(d, layer.m_out - layer.x_in * layer.y_in * layer.c_in)
     return d
 
 
@@ -69,6 +66,8 @@ def solo_plan(layer):
 
 
 class TestDeriveDims:
+    """The sizes a layer derives from its fields, and the fields' validation."""
+
     @pytest.mark.parametrize(
         "x_in,k,s,p,x_out",
         [
@@ -80,18 +79,31 @@ class TestDeriveDims:
     def test_output_width(self, x_in, k, s, p, x_out):
         layer = LayerSpec(x_in=x_in, y_in=x_in, c_in=1, k_x=k, k_y=k, s_x=s, s_y=s,
                           p_x=p, p_y=p, c_out=1)
-        assert derive_dims(layer).x_out == x_out
+        assert (layer.x_out, layer.y_out) == (x_out, x_out)
 
     def test_counts(self):
         layer = square(4, c_in=3, k=3, p=1, c_out=8, carry=10)
-        dd = derive_dims(layer)
-        assert dd.m_in == 4 * 4 * 3 + 10
-        assert dd.m_out == 4 * 4 * 8
-        assert dd.block_cycles == 3 * 3 * 3
+        assert layer.m_in == 4 * 4 * 3 + 10
+        assert layer.m_out == 4 * 4 * 8
+        assert layer.block_cycles == 3 * 3 * 3
 
     def test_grouped_block_cycles(self):
         layer = square(4, c_in=4, k=3, p=1, c_out=4, groups=4)
-        assert derive_dims(layer).block_cycles == 9  # one channel per group
+        assert layer.block_cycles == 9  # one channel per group
+
+    def test_vars_holds_the_fields_only(self):
+        # the derived sizes are computed on access, never stored: callers
+        # compare and key layers by vars(layer)
+        layer = square(4, c_in=3, k=3, p=1, c_out=8, carry=10)
+        for name in ("x_out", "y_out", "m_in", "m_out", "block_cycles"):
+            getattr(layer, name)
+        assert set(vars(layer)) == {f.name for f in dataclasses.fields(LayerSpec)}
+
+    def test_min_offset_reads_fields_only(self):
+        # the benchmark calls min_offset on plain namespaces of the fields
+        for layer in (square(4, c_in=3, k=3, p=1, c_out=8, carry=10),
+                      square(6, c_in=2, k=3, s=2, p=2, c_out=4, groups=2)):
+            assert min_offset(SimpleNamespace(**vars(layer))) == min_offset(layer)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -205,7 +217,7 @@ class TestMinOffset:
         # d <= m_out makes ping-pong an upper bound for the overlapped pair
         for layer in (square(4, k=3, p=1), square(2, c_out=2), square(2, k=1, p=1),
                       square(5, c_in=2, k=3, p=1, c_out=2)):
-            assert min_offset(layer) <= derive_dims(layer).m_out
+            assert min_offset(layer) <= layer.m_out
             plan = solo_plan(layer)
             assert plan.arena_size <= plan.pingpong_size
 
@@ -223,9 +235,8 @@ class TestMinOffset:
                       p_x=1, p_y=0, c_out=3),
         ]
         for layer in layers:
-            dd = derive_dims(layer)
             dense = max(
-                k - read_pointer_at(k * dd.block_cycles, layer) for k in range(dd.m_out)
+                k - read_pointer_at(k * layer.block_cycles, layer) for k in range(layer.m_out)
             )
             assert paper_offset(layer) == max(0, dense) + 1, layer
 
@@ -242,7 +253,7 @@ class TestMinOffset:
         # only lower (never raise) the frontier
         layer = LayerSpec(x_in=5, y_in=5, c_in=1, k_x=1, k_y=1, s_x=2, s_y=2,
                           p_x=0, p_y=0, c_out=2)
-        row = derive_dims(layer).x_out * layer.c_out * derive_dims(layer).block_cycles
+        row = layer.x_out * layer.c_out * layer.block_cycles
         assert read_pointer_at(row + 1, layer) <= read_pointer_at(row, layer)
 
 
@@ -261,7 +272,7 @@ class TestPacking:
                           p_x=1, p_y=1, c_out=64)
         packed = apply_packing(layer, 4)
         # the write pointer advances one packed word per block
-        assert derive_dims(packed).block_cycles == 16 * 9
+        assert packed.block_cycles == 16 * 9
 
     def test_depthwise_packs_to_standard(self):
         layer = square(4, c_in=2, k=3, p=1, c_out=2, groups=2)

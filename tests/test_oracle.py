@@ -31,12 +31,7 @@ from actplan import (
     verify_layer,
 )
 
-from conftest import loop_nest_exec, loop_nest_trace
-
-
-def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1):
-    return LayerSpec(x_in=edge, y_in=edge, c_in=c_in, k_x=k, k_y=k, s_x=s, s_y=s,
-                     p_x=p, p_y=p, c_out=c_out, groups=groups)
+from conftest import loop_nest_exec, loop_nest_trace, square
 
 
 class TestTrace:

@@ -11,7 +11,7 @@ from actplan import (
     InvalidLayerError,
     LayerSpec,
     NetworkSpec,
-    derive_dims,
+    PackingError,
     execute_network_in_arena,
     execute_network_reference,
     min_offset,
@@ -22,10 +22,7 @@ from actplan import (
     tightest_layer,
 )
 
-
-def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1, carry=0):
-    return LayerSpec(x_in=edge, y_in=edge, c_in=c_in, k_x=k, k_y=k, s_x=s, s_y=s,
-                     p_x=p, p_y=p, c_out=c_out, groups=groups, residual_carry_words=carry)
+from conftest import square
 
 
 def lockstep_pair(edge):
@@ -49,6 +46,11 @@ class TestNetworkSpec:
     def test_needs_layers(self):
         with pytest.raises(InvalidLayerError):
             NetworkSpec("empty", ())
+
+    @pytest.mark.parametrize("packing", [0, True])
+    def test_bad_packing_refused(self, packing):
+        with pytest.raises(PackingError, match="packing factor must be an integer >= 1"):
+            NetworkSpec("bad", (square(4),), packing=packing)
 
 
 class TestPlan:
@@ -94,11 +96,10 @@ class TestPlan:
         # more words than input + offset spans, so the arena must widen to
         # the output size for the plan to execute at all
         layer = square(2, k=1, p=1)
-        dd = derive_dims(layer)
-        assert dd.m_out > dd.m_in + min_offset(layer)
+        assert layer.m_out > layer.m_in + min_offset(layer)
         net = NetworkSpec("degen", (layer,))
         plan = plan_network(net)
-        assert plan.arena_size == dd.m_out
+        assert plan.arena_size == layer.m_out
         x, weights = seeded_test_vectors(net, seed=5)
         got = execute_network_in_arena(net, plan, x, weights, checked=True)
         assert np.array_equal(got, execute_network_reference(net, x, weights))

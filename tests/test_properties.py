@@ -4,7 +4,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +11,6 @@ from actplan import (
     LayerSpec,
     NetworkSpec,
     apply_packing,
-    derive_dims,
     execute_network_in_arena,
     execute_network_reference,
     min_offset,
@@ -54,10 +52,9 @@ def layers(draw, max_dim=6, max_channels=3):
 def test_read_frontier_monotone_without_side_correction(layer):
     # with window run-out at the right edge the pullback ticks one cycle
     # after each row start, so monotonicity only holds when it is zero
-    dd = derive_dims(layer)
-    if dd.x_out * layer.s_x > layer.x_in:
+    if layer.x_out * layer.s_x > layer.x_in:
         return
-    span = min(dd.m_out * dd.block_cycles + 2, 400)
+    span = min(layer.m_out * layer.block_cycles + 2, 400)
     values = [read_pointer_at(t, layer) for t in range(span)]
     assert values == sorted(values)
 
@@ -76,29 +73,27 @@ def test_block_start_is_the_weakest_point_of_each_block(layer):
     # the pullback for right-edge run-out ticks one cycle into each row and
     # breaks this within the row's first block, which is why safety rests on
     # the lifetime comparison (below) rather than on dense-cycle sampling
-    dd = derive_dims(layer)
-    if dd.x_out * layer.s_x > layer.x_in:
+    if layer.x_out * layer.s_x > layer.x_in:
         return
-    if dd.m_out * dd.block_cycles > 600:
+    if layer.m_out * layer.block_cycles > 600:
         return
-    for k in range(dd.m_out):
-        t0 = k * dd.block_cycles
+    for k in range(layer.m_out):
+        t0 = k * layer.block_cycles
         start_gap = read_pointer_at(t0, layer) - k
-        for t in range(t0, t0 + dd.block_cycles):
+        for t in range(t0, t0 + layer.block_cycles):
             # block t // block_cycles writes output word t // block_cycles
-            gap = read_pointer_at(t, layer) - t // dd.block_cycles
+            gap = read_pointer_at(t, layer) - t // layer.block_cycles
             assert gap >= start_gap
 
 
 @given(layers())
 @settings(max_examples=300, deadline=None)
 def test_offset_search_matches_dense_block_scan(layer):
-    dd = derive_dims(layer)
-    dense = max(k - read_pointer_at(k * dd.block_cycles, layer) for k in range(dd.m_out))
+    dense = max(k - read_pointer_at(k * layer.block_cycles, layer) for k in range(layer.m_out))
     assert paper_offset(layer) == max(dense, 0) + 1
     # the array form equals the scalar calls, at block starts and one cycle
     # later, where the right-edge pullback ticks
-    starts = np.arange(dd.m_out, dtype=np.int64) * dd.block_cycles
+    starts = np.arange(layer.m_out, dtype=np.int64) * layer.block_cycles
     cycles = np.concatenate([starts, starts + 1])
     assert read_pointer_at(cycles, layer).tolist() == [read_pointer_at(int(t), layer)
                                                        for t in cycles]
@@ -135,9 +130,8 @@ def test_last_read_window_is_shared_by_a_pixels_channels(layer):
 def test_memory_bounds(layer):
     plan = plan_network(NetworkSpec("solo", (layer,)))
     m_min = plan.arena_size
-    dd = derive_dims(layer)
-    assert dd.m_in < m_min <= plan.pingpong_size
-    assert dd.m_out <= m_min
+    assert layer.m_in < m_min <= plan.pingpong_size
+    assert layer.m_out <= m_min
 
 
 @given(st.integers(1, 9), st.integers(1, 4))
@@ -156,13 +150,12 @@ def test_lockstep_offset(edge, c):
 @given(layers())
 @settings(max_examples=150, deadline=None)
 def test_trace_reads_stay_inside_the_input(layer):
-    dd = derive_dims(layer)
-    if dd.m_out * dd.block_cycles > 2000:
+    if layer.m_out * layer.block_cycles > 2000:
         return
     m_conv = layer.x_in * layer.y_in * layer.c_in
     reads, writes = loop_nest_trace(layer)
     assert all(0 <= addr < m_conv for _, addr in reads)
-    assert len(writes) == dd.m_out
+    assert len(writes) == layer.m_out
 
 
 @given(layers())
@@ -181,7 +174,7 @@ def test_packed_velocity_scales_linearly(c_pack, k):
                       p_x=0, p_y=0, c_out=c)
     packed = apply_packing(layer, 2)
     # the write pointer advances one word per block
-    assert derive_dims(layer).block_cycles == 2 * derive_dims(packed).block_cycles
+    assert layer.block_cycles == 2 * packed.block_cycles
 
 
 @given(layers(max_channels=12), st.sampled_from((0, 1, 5)))
