@@ -14,12 +14,10 @@ from .errors import (
     DimensionMismatchError,
     InvalidLayerError,
     NetworkFileError,
-    PackingError,
     SizeLimitError,
 )
 from .model import (
     LayerSpec,
-    apply_packing,
     min_offset,
     paper_offset,
     read_pointer_at,
@@ -57,8 +55,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActplanError", "ChainMismatchError", "ClobberError", "DimensionMismatchError",
-    "InvalidLayerError", "NetworkFileError", "PackingError", "SizeLimitError",
-    "LayerSpec", "read_pointer_at", "paper_offset", "min_offset", "apply_packing",
+    "InvalidLayerError", "NetworkFileError", "SizeLimitError",
+    "LayerSpec", "read_pointer_at", "paper_offset", "min_offset",
     "OracleReport", "min_safe_offset_bruteforce", "verify_layer",
     "execute_network_reference", "execute_network_in_arena", "seeded_test_vectors",
     "NetworkSpec", "LayerPlan", "MemoryPlan", "packed_layers", "plan_network",

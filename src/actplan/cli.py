@@ -30,7 +30,7 @@ from .oracle import (
     verify_layer,
 )
 from .model import paper_offset
-from .planner import packed_layers, plan_network, plan_with_offsets, tightest_layer
+from .planner import plan_network, plan_with_offsets, tightest_layer
 from .report import plan_to_json, render_plan_text
 from .sweep import SweepBounds, run_exec_sweep, run_layer_sweep
 
@@ -62,7 +62,7 @@ def _cmd_verify(args) -> int:
     net = parse_network_file(args.file)
     rows = []
     any_unsafe = False
-    for i, layer in enumerate(packed_layers(net)):
+    for i, layer in enumerate(net.layers):
         try:
             rep = verify_layer(layer, cycle_cap=args.cycle_cap)
         except SizeLimitError as exc:

@@ -21,10 +21,6 @@ class ChainMismatchError(ActplanError):
         super().__init__(message)
 
 
-class PackingError(ActplanError):
-    """A packing factor is incompatible with a layer's channel counts."""
-
-
 class SizeLimitError(ActplanError):
     """A layer is too large for brute-force verification; use the closed form."""
 

@@ -24,12 +24,11 @@ planner turns it into each layer's joint footprint ``max(m_in + d, m_out)``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLayerError, PackingError
+from .errors import InvalidLayerError
 
 
 @dataclass(frozen=True)
@@ -211,30 +210,3 @@ def min_offset(layer: LayerSpec) -> int:
         d = max(d, x_out * y_out * layer.c_out - layer.x_in * layer.y_in * layer.c_in)
     return d
 
-
-def apply_packing(layer: LayerSpec, q: int) -> LayerSpec:
-    """Rescale a layer so all addresses count packed words of ``q`` entries.
-
-    ``q`` must divide both channel counts so that packed words never straddle
-    pixel boundaries on either side of the layer; channel counts and group
-    count shrink accordingly and every address-valued result of this module
-    is then expressed in packed words.
-    Residual carry words are rounded up to whole packed words.
-    """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise PackingError(f"packing factor must be an integer >= 1, got {q!r}")
-    if q == 1:
-        return layer
-    if layer.c_in % q:
-        raise PackingError(f"packing factor {q} does not divide c_in={layer.c_in}")
-    if layer.c_out % q:
-        raise PackingError(f"packing factor {q} does not divide c_out={layer.c_out}")
-    # lcm(groups, q) divides both channel counts, so the packed group count
-    # divides both packed counts and the result is always a valid layer
-    return replace(
-        layer,
-        c_in=layer.c_in // q,
-        c_out=layer.c_out // q,
-        groups=layer.groups // math.gcd(layer.groups, q),
-        residual_carry_words=_ceildiv(layer.residual_carry_words, q),
-    )

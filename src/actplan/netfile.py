@@ -3,7 +3,6 @@
 A network file is a YAML (or JSON) document:
 
     name: my-net
-    packing: 1            # optional, data entries per memory word
     layers:
       - {x_in: 8, y_in: 8, c_in: 3, k_x: 3, k_y: 3, s_x: 1, s_y: 1,
          p_x: 1, p_y: 1, c_out: 16}
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ChainMismatchError, InvalidLayerError, NetworkFileError, PackingError
+from .errors import ChainMismatchError, InvalidLayerError, NetworkFileError
 from .model import LayerSpec
 from .planner import NetworkSpec
 
@@ -53,7 +52,7 @@ def parse_network_text(text: str, source: str = "<string>") -> NetworkSpec:
 def _build(doc, source: str) -> NetworkSpec:
     if not isinstance(doc, dict):
         raise NetworkFileError("top level must be a mapping", location=source)
-    unknown = set(doc) - {"name", "packing", "layers"}
+    unknown = set(doc) - {"name", "layers"}
     if unknown:
         raise NetworkFileError(f"unknown top-level keys {sorted(unknown)}", location=source)
     name = doc.get("name")
@@ -89,12 +88,10 @@ def _build(doc, source: str) -> NetworkSpec:
             raise NetworkFileError(str(exc), location=where) from exc
 
     try:
-        return NetworkSpec(name=name, layers=tuple(layers), packing=doc.get("packing", 1))
+        return NetworkSpec(name=name, layers=tuple(layers))
     except ChainMismatchError as exc:
         raise ChainMismatchError(f"{source}: layers[{exc.layer_index}]: {exc}",
                                  exc.layer_index) from exc
-    except PackingError as exc:
-        raise NetworkFileError(str(exc), location=f"{source}: packing") from exc
 
 
 def bundled_network_path(name: str) -> Path:

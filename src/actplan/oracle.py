@@ -20,12 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ClobberError, DimensionMismatchError, PackingError, SizeLimitError
+from .errors import ClobberError, DimensionMismatchError, SizeLimitError
 from .model import LayerSpec, min_offset
 
 # Cap on MAC cycles, m_out * block_cycles: per layer for the oracle, summed
 # over the network's layers for the executors.
 DEFAULT_CYCLE_CAP = 4_000_000_000
+
+# Cap on the oracle's int64 grid of (row read, column read) pairs: 256 MiB.
+_READ_GRID_CAP = 2**25
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,15 @@ def _raw_min_safe_offset(layer: LayerSpec) -> int:
 
     ``max(c_out * window - address)`` over every read of a pixel's channel 0,
     its lowest word, and zero: zero when writes trail the reads by
-    construction or no input word is ever read.
+    construction or no input word is ever read.  A layer with more than
+    ``_READ_GRID_CAP`` read pairs is refused before the grid is built.
     """
     (wy, py), (wx, px) = _reads(layer)
+    pairs = wy.size * wx.size
+    if pairs > _READ_GRID_CAP:
+        raise SizeLimitError(f"layer has {pairs} (row read, column read) pairs, above the "
+                             f"oracle's bound of {_READ_GRID_CAP}; use the closed-form "
+                             "planner for layers this large")
     c_out, c_in = layer.c_out, layer.c_in
     return int(np.add.outer(c_out * wy - c_in * py, c_out * wx - c_in * px).max(initial=0))
 
@@ -132,11 +141,9 @@ _BATCH_WORDS = 1 << 15
 
 def _checked_inputs(net, input_tensor, weights, cap: int):
     """The input as int64 and each layer's weights grouped as (groups, c_out
-    per group, k_y, k_x, c_in per group) with its bias, after refusing packed
-    networks, networks above the cycle cap and tensors of the wrong shape."""
+    per group, k_y, k_x, c_in per group) with its bias, after refusing
+    networks above the cycle cap and tensors of the wrong shape."""
     layers = net.layers
-    if net.packing != 1:
-        raise PackingError("execution models one datum per memory word (packing must be 1)")
     cycles = sum(layer.m_out * layer.block_cycles for layer in layers)
     if cycles > cap:
         raise SizeLimitError(

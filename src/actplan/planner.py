@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ChainMismatchError, InvalidLayerError
-from .model import apply_packing, min_offset
+from .model import min_offset
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """An ordered chain of layers plus a packing factor that divides their channel counts.
+    """An ordered chain of layers, one datum per memory word.
 
     Consecutive layers must chain exactly: the output geometry of layer ``i``
     is the input geometry of layer ``i + 1``.
@@ -26,7 +26,6 @@ class NetworkSpec:
 
     name: str
     layers: tuple
-    packing: int = 1
 
     def __post_init__(self):
         if not self.layers:
@@ -44,13 +43,11 @@ class NetworkSpec:
                         f"layers {i + 1} -> {i + 2}: {field}={got} does not match "
                         f"previous layer's output ({want})", i + 1
                     )
-        for layer in self.layers:
-            apply_packing(layer, self.packing)
 
 
 @dataclass(frozen=True)
 class LayerPlan:
-    """Placement of one layer's activations inside the arena (packed words)."""
+    """Placement of one layer's activations inside the arena, in words."""
 
     index: int
     m_in: int
@@ -63,7 +60,11 @@ class LayerPlan:
 
 @dataclass(frozen=True)
 class MemoryPlan:
-    """Arena plan for a whole network, with baseline and savings figures."""
+    """Arena plan for a whole network, with baseline and savings figures.
+
+    ``packing`` is always 1: it stays only for the benchmark and the plan
+    JSON, until ROADMAP item 1 deletes it together with their uses.
+    """
 
     name: str
     packing: int
@@ -76,8 +77,9 @@ class MemoryPlan:
 
 
 def packed_layers(net: NetworkSpec) -> tuple:
-    """The network's layers rescaled to its packing factor."""
-    return tuple(apply_packing(layer, net.packing) for layer in net.layers)
+    """The network's layers, unchanged: kept only for the benchmark, until
+    ROADMAP item 1 deletes it together with the benchmark's calls."""
+    return net.layers
 
 
 def plan_network(net: NetworkSpec) -> MemoryPlan:
@@ -89,7 +91,7 @@ def plan_network(net: NetworkSpec) -> MemoryPlan:
     layer, the linear safety argument for a layer pair embeds unchanged in
     the circle.
     """
-    return plan_with_offsets(net, [min_offset(layer) for layer in packed_layers(net)])
+    return plan_with_offsets(net, [min_offset(layer) for layer in net.layers])
 
 
 def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
@@ -106,16 +108,15 @@ def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
         )
     if any(d < 0 for d in offsets):
         raise InvalidLayerError("offsets must be >= 0")
-    layers = packed_layers(net)
-    m_mins = [layer.m_in + d for layer, d in zip(layers, offsets)]
+    m_mins = [layer.m_in + d for layer, d in zip(net.layers, offsets)]
     # A layer can emit more words than m_in + d spans (channel expansion,
     # windows over padding); the arena must still hold its full output.
-    needed = max(max(m_mins), max(layer.m_out for layer in layers))
+    needed = max(max(m_mins), max(layer.m_out for layer in net.layers))
     size = needed if arena_size is None else arena_size
 
     plans = []
     base = 0
-    for i, (layer, d, mm) in enumerate(zip(layers, offsets, m_mins)):
+    for i, (layer, d, mm) in enumerate(zip(net.layers, offsets, m_mins)):
         out_base = (base - d) % size
         plans.append(
             LayerPlan(
@@ -130,16 +131,15 @@ def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
         )
         base = out_base
 
-    # the disjoint baseline keeps each layer's input (with residual
-    # carries) and output live at once; weights and biases take one word
-    # per parameter of the unpacked layers
-    pingpong = max(layer.m_in + layer.m_out for layer in layers)
+    # the disjoint baseline keeps each layer's input (with residual carries)
+    # and output live at once; weights and biases take one word per parameter
+    pingpong = max(layer.m_in + layer.m_out for layer in net.layers)
     params = sum((l.block_cycles + 1) * l.c_out for l in net.layers)
     savings_act = (pingpong - size) / pingpong * 100.0
     savings_total = ((params + pingpong) - (params + size)) / (params + pingpong) * 100.0
     return MemoryPlan(
         name=net.name,
-        packing=net.packing,
+        packing=1,
         arena_size=size,
         layer_plans=tuple(plans),
         pingpong_size=pingpong,

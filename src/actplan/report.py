@@ -25,7 +25,7 @@ def _humanize_words(words: int) -> str:
 
 def render_plan_text(plan: MemoryPlan, memory_map: bool = False) -> str:
     lines = [
-        f"network          {plan.name}" + (f"   (packing {plan.packing}/word)" if plan.packing != 1 else ""),
+        f"network          {plan.name}",
         f"arena            {plan.arena_size:,} words ({_humanize_words(plan.arena_size)})",
         f"ping-pong        {plan.pingpong_size:,} words ({_humanize_words(plan.pingpong_size)})",
         f"parameters       {plan.parameter_words:,} words ({_humanize_words(plan.parameter_words)})",

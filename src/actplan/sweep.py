@@ -35,9 +35,8 @@ class SweepBounds:
 
     Image width and height vary independently; kernel, stride and padding
     are square (the hypothesis suite covers fully asymmetric shapes).
-    ``packed`` adds no layer: packing by ``q == c_in`` only gives a
-    ``c_in == 1`` layer that is already in the domain.  It stays until the
-    benchmark, which passes ``packed=True``, is updated to drop it.
+    ``packed`` is read by nothing: it stays only for the benchmark, until
+    ROADMAP item 1 deletes it together with the benchmark's calls.
     """
 
     max_dim: int = 6

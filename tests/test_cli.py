@@ -111,6 +111,18 @@ class TestVerify:
         assert code == 0
         assert "skipped" in out and "closed-form" in out
 
+    def test_layer_above_read_grid_bound_skipped_but_planned(self, capsys, tmp_path):
+        # under the cycle cap, but its oracle grid would take 28.8 GB
+        net = tmp_path / "wide.net"
+        net.write_text("name: wide\nlayers:\n  - {x_in: 20000, y_in: 20000, c_in: 1, "
+                       "k_x: 3, k_y: 3, s_x: 1, s_y: 1, p_x: 1, p_y: 1, c_out: 1}\n")
+        code, out, _ = run_cli(capsys, "verify", str(net))
+        assert code == 0
+        assert out.startswith("layer   1: skipped (") and "bound of 33554432" in out
+        code, out, _ = run_cli(capsys, "plan", str(net))
+        assert code == 0
+        assert "arena            400,020,001 words" in out
+
     def test_full_scale_dmcnn_vd_verifies_at_raised_cap(self, capsys):
         code, out, _ = run_cli(capsys, "verify", str(bundled_network_path("dmcnn_vd")),
                                "--cycle-cap", "100000000000")

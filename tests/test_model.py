@@ -1,4 +1,4 @@
-"""Closed-form pointer model: geometry, pointers, offsets, packing."""
+"""Closed-form pointer model: geometry, pointers, offsets."""
 
 import dataclasses
 import random
@@ -11,13 +11,10 @@ from actplan import (
     InvalidLayerError,
     LayerSpec,
     NetworkSpec,
-    PackingError,
     SweepBounds,
-    apply_packing,
     bundled_network_path,
     min_offset,
     min_safe_offset_bruteforce,
-    packed_layers,
     paper_offset,
     parse_network_file,
     plan_network,
@@ -242,7 +239,7 @@ class TestMinOffset:
 
     @pytest.mark.parametrize("name", sorted(BUNDLED_PAPER_OFFSETS))
     def test_paper_offset_on_bundled_layers(self, name):
-        layers = packed_layers(parse_network_file(bundled_network_path(name)))
+        layers = parse_network_file(bundled_network_path(name)).layers
         got = [paper_offset(layer) for layer in layers]
         assert got == BUNDLED_PAPER_OFFSETS[name]
         assert all(type(d) is int for d in got)  # verify --format json serializes them
@@ -256,37 +253,3 @@ class TestMinOffset:
         row = layer.x_out * layer.c_out * layer.block_cycles
         assert read_pointer_at(row + 1, layer) <= read_pointer_at(row, layer)
 
-
-class TestPacking:
-    def test_identity(self):
-        layer = square(4, c_in=2, c_out=2)
-        assert apply_packing(layer, 1) == layer
-
-    def test_two_per_word_reduces_to_lockstep(self):
-        packed = apply_packing(square(2, c_in=2, c_out=2), 2)
-        assert (packed.c_in, packed.c_out) == (1, 1)
-        assert min_offset(packed) == 1
-
-    def test_velocity_scales(self):
-        layer = LayerSpec(x_in=64, y_in=64, c_in=64, k_x=3, k_y=3, s_x=1, s_y=1,
-                          p_x=1, p_y=1, c_out=64)
-        packed = apply_packing(layer, 4)
-        # the write pointer advances one packed word per block
-        assert packed.block_cycles == 16 * 9
-
-    def test_depthwise_packs_to_standard(self):
-        layer = square(4, c_in=2, k=3, p=1, c_out=2, groups=2)
-        packed = apply_packing(layer, 2)
-        assert (packed.c_in, packed.c_out, packed.groups) == (1, 1, 1)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(PackingError):
-            apply_packing(square(4, c_in=3, c_out=3), 2)
-        with pytest.raises(PackingError):
-            apply_packing(square(4, c_in=2, c_out=3), 2)
-        with pytest.raises(PackingError):
-            apply_packing(square(4), 0)
-
-    def test_carry_rounds_up(self):
-        layer = square(4, c_in=2, c_out=2, carry=5)
-        assert apply_packing(layer, 2).residual_carry_words == 3

@@ -27,7 +27,6 @@ class TestParsing:
         net = parse_network_text(MINIMAL)
         assert net.name == "one"
         assert len(net.layers) == 1
-        assert net.packing == 1
 
     def test_inheritance(self):
         net = parse_network_text(
@@ -66,10 +65,6 @@ layers:
         )
         assert net.name == "j"
 
-    def test_packing_key(self):
-        net = parse_network_text(MINIMAL.replace("name: one", "name: one\npacking: 1"))
-        assert net.packing == 1
-
 
 class TestDiagnostics:
     def test_yaml_error_carries_line(self):
@@ -106,10 +101,6 @@ class TestDiagnostics:
         with pytest.raises(NetworkFileError, match=r"layers\[0\]"):
             parse_network_text(MINIMAL.replace("k_x: 1", "k_x: 9"))
 
-    def test_bad_packing_located(self):
-        with pytest.raises(NetworkFileError, match=r"^<string>: packing: "):
-            parse_network_text(MINIMAL.replace("name: one", "name: one\npacking: 0"))
-
     @pytest.mark.parametrize("text,message", [
         ("- 1\n- 2\n", "top level must be a mapping"),
         (MINIMAL + "extra: 1\n", r"unknown top-level keys \['extra'\]"),
@@ -117,10 +108,10 @@ class TestDiagnostics:
         ("name: x\nlayers: []\n", "'layers' must be a non-empty list"),
         ("name: x\nlayers: 3\n", "'layers' must be a non-empty list"),
         (MINIMAL + "  - 7\n", r"layers\[1\]: layer entry must be a mapping"),
-        (MINIMAL.replace("name: one", "name: one\npacking: 3").replace("c_in: 1", "c_in: 4"),
-         "packing: packing factor 3 does not divide c_in=4"),
+        (MINIMAL.replace("name: one", "name: one\npacking: 1"),
+         r"unknown top-level keys \['packing'\]"),
     ], ids=["not_mapping", "unknown_key", "no_name", "empty_layers", "layers_not_list",
-            "layer_not_mapping", "packing_not_dividing"])
+            "layer_not_mapping", "packing_key"])
     def test_malformed_document_located(self, text, message):
         with pytest.raises(NetworkFileError, match=f"^<string>: {message}$"):
             parse_network_text(text)

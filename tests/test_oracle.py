@@ -12,7 +12,6 @@ from actplan import (
     DimensionMismatchError,
     LayerSpec,
     NetworkSpec,
-    PackingError,
     SizeLimitError,
     SweepBounds,
     SweepSummary,
@@ -125,6 +124,21 @@ class TestBruteForceOffset:
             tracemalloc.stop()
         assert d == min_offset(self.BIG) == 41_024
         assert peak < 64 * 2**20
+
+    # 3.6e9 MAC cycles, under the default cap, but as many (row read, column
+    # read) pairs: a 28.8 GB int64 grid
+    WIDE = LayerSpec(x_in=20000, y_in=20000, c_in=1, k_x=3, k_y=3, s_x=1, s_y=1,
+                     p_x=1, p_y=1, c_out=1)
+
+    def test_read_grid_cap_refuses_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="3599760004 .* bound of 33554432"):
+                verify_layer(self.WIDE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestVerify:
@@ -249,7 +263,7 @@ class TestExecutors:
     def test_carry_bound_keeps_output_off_the_carry(self):
         # channel-expanding layers would otherwise write their last words
         # onto the carry, which sits right above the convolution input
-        for layer in sweep_layer_configs(SweepBounds(max_dim=4, packed=False)):
+        for layer in sweep_layer_configs(SweepBounds(max_dim=4)):
             net = NetworkSpec("carry", (replace(layer, residual_carry_words=3),))
             x, weights = seeded_test_vectors(net, seed=0)
             execute_network_in_arena(net, plan_network(net), x, weights, checked=True)
@@ -269,15 +283,6 @@ class TestExecutors:
                 execute_network_reference(net, x, weights)
             with pytest.raises(DimensionMismatchError, match=match):
                 execute_network_in_arena(net, plan, x, weights)
-
-    def test_packed_network_refused(self):
-        # both executors model one datum per word
-        net = NetworkSpec("packed", (square(2, c_in=2, c_out=2),), packing=2)
-        x, weights = seeded_test_vectors(net, seed=0)
-        with pytest.raises(PackingError):
-            execute_network_reference(net, x, weights)
-        with pytest.raises(PackingError):
-            execute_network_in_arena(net, plan_network(net), x, weights)
 
     def test_exec_cap(self):
         # 256x256 pixels, 9x9 taps, 1024 output channels: 5.4e9 MAC cycles

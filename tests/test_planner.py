@@ -11,7 +11,6 @@ from actplan import (
     InvalidLayerError,
     LayerSpec,
     NetworkSpec,
-    PackingError,
     execute_network_in_arena,
     execute_network_reference,
     min_offset,
@@ -46,11 +45,6 @@ class TestNetworkSpec:
     def test_needs_layers(self):
         with pytest.raises(InvalidLayerError):
             NetworkSpec("empty", ())
-
-    @pytest.mark.parametrize("packing", [0, True])
-    def test_bad_packing_refused(self, packing):
-        with pytest.raises(PackingError, match="packing factor must be an integer >= 1"):
-            NetworkSpec("bad", (square(4),), packing=packing)
 
 
 class TestPlan:
@@ -151,9 +145,6 @@ class TestBaselineAndParams:
         assert plan_network(NetworkSpec("b", (big,))).parameter_words == 9 * 64 * 64 + 64
         dw = square(8, c_in=64, k=3, p=1, c_out=64, groups=64)
         assert plan_network(NetworkSpec("c", (dw,))).parameter_words == 9 * 64 + 64
-        # packing rescales activations only: weights still take one word each
-        packed = NetworkSpec("d", (big,), packing=4)
-        assert plan_with_offsets(packed, [1]).parameter_words == 9 * 64 * 64 + 64
 
 
 class TestSavings:
@@ -181,14 +172,3 @@ class TestSavings:
             plan = plan_network(net)
             assert 0 <= plan.savings_activations_pct < 50
 
-
-class TestPackedPlanning:
-    def test_packed_plan_halves_words(self):
-        layer = square(4, c_in=2, c_out=2)
-        packed = plan_network(NetworkSpec("p", (layer, layer), packing=2))
-        plain = plan_network(NetworkSpec("q", (layer, layer)))
-        assert packed.arena_size == 17  # 16 pixels one word each, lockstep
-        assert plain.arena_size == 33   # 32 words plus the one-word floor
-        assert packed.pingpong_size * 2 == plain.pingpong_size
-        # parameters stay in raw words regardless of packing
-        assert packed.parameter_words == plain.parameter_words

@@ -1,8 +1,5 @@
 """Property-based checks of the pointer model against the oracle."""
 
-import math
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +7,6 @@ from hypothesis import strategies as st
 from actplan import (
     LayerSpec,
     NetworkSpec,
-    apply_packing,
     execute_network_in_arena,
     execute_network_reference,
     min_offset,
@@ -138,13 +134,12 @@ def test_memory_bounds(layer):
 @settings(max_examples=60, deadline=None)
 def test_lockstep_offset(edge, c):
     # pointwise layers with c_in == c_out write word a only after the window
-    # that reads word a, so one word suffices, packed or not; the paper's
-    # pointer model, whose frontier advances in chunks of c, asks for c
+    # that reads word a, so one word suffices; the paper's pointer model,
+    # whose frontier advances in chunks of c, asks for c
     layer = LayerSpec(x_in=edge, y_in=edge, c_in=c, k_x=1, k_y=1, s_x=1, s_y=1,
                       p_x=0, p_y=0, c_out=c)
     assert min_offset(layer) == 1
     assert paper_offset(layer) == c
-    assert min_offset(apply_packing(layer, c)) == 1
 
 
 @given(layers())
@@ -164,29 +159,6 @@ def test_operations_are_pure(layer):
     assert min_offset(layer) == min_offset(layer)
     assert min_safe_offset_bruteforce(layer) == min_safe_offset_bruteforce(layer)
     assert paper_offset(layer) == paper_offset(layer)
-
-
-@given(st.integers(1, 3), st.integers(1, 2))
-@settings(max_examples=40, deadline=None)
-def test_packed_velocity_scales_linearly(c_pack, k):
-    c = 2 * c_pack
-    layer = LayerSpec(x_in=4, y_in=4, c_in=c, k_x=k, k_y=k, s_x=1, s_y=1,
-                      p_x=0, p_y=0, c_out=c)
-    packed = apply_packing(layer, 2)
-    # the write pointer advances one word per block
-    assert layer.block_cycles == 2 * packed.block_cycles
-
-
-@given(layers(max_channels=12), st.sampled_from((0, 1, 5)))
-@settings(max_examples=200, deadline=None)
-def test_every_common_channel_divisor_packs(layer, carry):
-    layer = replace(layer, residual_carry_words=carry)
-    for q in range(1, math.gcd(layer.c_in, layer.c_out) + 1):
-        if layer.c_in % q or layer.c_out % q:
-            continue
-        packed = apply_packing(layer, q)
-        assert (packed.c_in * q, packed.c_out * q) == (layer.c_in, layer.c_out)
-        assert packed.c_in % packed.groups == 0 and packed.c_out % packed.groups == 0
 
 
 @given(st.integers(0, 10_000))
