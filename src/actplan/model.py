@@ -14,7 +14,7 @@ skips rows according to ``s_y``, starts below zero when the top rows are
 padding and is pulled back when the window run-out at the right edge exceeds
 the image.  ``read_pointer_at`` is the frontier in exact integer floor/ceil
 arithmetic, and ``paper_offset`` is the offset the paper's equations give:
-the model evaluated at each window's last block, in one numpy pass.
+the model evaluated at each window's last block, in fixed slices of windows.
 
 Plans do not use the pointer model.  ``min_offset`` is the exact lifetime
 minimum, a separable formula over the last window that reads each input row
@@ -29,6 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidLayerError
+
+# Windows per slice in paper_offset: bounds its memory whatever the layer size.
+_PAPER_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,9 +158,11 @@ def paper_offset(layer: LayerSpec) -> int:
     window's largest gap is at its last block.  This is the paper's model,
     kept for comparison; plans use :func:`min_offset`.
     """
-    last = np.arange(1, layer.x_out * layer.y_out + 1, dtype=np.int64) * layer.c_out - 1
-    gap = last - read_pointer_at(last * layer.block_cycles, layer)
-    return 1 + max(0, int(gap.max()))
+    gap, step = 0, _PAPER_SLICE * layer.c_out
+    for b0 in range(layer.c_out - 1, layer.m_out, step):
+        last = np.arange(b0, min(b0 + step, layer.m_out), layer.c_out, dtype=np.int64)
+        gap = max(gap, int((last - read_pointer_at(last * layer.block_cycles, layer)).max()))
+    return 1 + gap
 
 
 def _axis_terms(n_in: int, k: int, s: int, p: int, n_out: int, a: int, b: int):

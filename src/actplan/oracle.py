@@ -1,10 +1,13 @@
 """Ground truth for the planner: lifetime brute force and executors.
 
-Nothing here uses the separable offset formula or the pointer model.  The
-minimal safe offset is a maximum over every in-bounds (window, tap) read of a
-convolution layer (windows in y, x order; padded taps read nothing), and whole
-networks are executed bit-exactly inside one flat arena to prove that a plan
-never destroys data that is still needed.
+Nothing here uses the closed form's last-window formula or the pointer model.
+The minimal safe offset is a maximum over every in-bounds (window, tap) read
+of a convolution layer (windows in y, x order; padded taps read nothing), and
+whole networks are executed bit-exactly inside one flat arena to prove that a
+plan never destroys data that is still needed.  The one fact shared with the
+closed form is that reads are a product: window ``(oy, ox)`` reads pixel
+``(y, x)`` exactly when it reads row ``y`` and column ``x``, so reads are
+listed per axis and a maximum over all of them is a row plus a column maximum.
 
 Write timing contract: all ``c_out`` output words of one window are committed
 together once its final tap has been read.  Every output block of a window
@@ -27,8 +30,9 @@ from .model import LayerSpec, min_offset
 # over the network's layers for the executors.
 DEFAULT_CYCLE_CAP = 4_000_000_000
 
-# Cap on the oracle's int64 grid of (row read, column read) pairs: 256 MiB.
-_READ_GRID_CAP = 2**25
+# Cap on the (window, tap) reads along either axis: at the cap the oracle's
+# scratch peaks at 128 MiB.
+_AXIS_READ_CAP = 2**21
 
 
 @dataclass(frozen=True)
@@ -54,28 +58,37 @@ def _check_cap(layer: LayerSpec, cap: int) -> None:
 
 
 def _reads(layer: LayerSpec):
-    """Every in-bounds read as row and column terms: window ``wy + wx`` reads
-    pixel ``py + px`` for each row read ``(wy, py)`` and column read ``(wx, px)``."""
+    """Every in-bounds read as (window, index) arrays: rows ``(oy, y)``, then
+    columns ``(ox, x)``.  Refused before allocating above ``_AXIS_READ_CAP``."""
+    reads = max(layer.y_out * layer.k_y, layer.x_out * layer.k_x)
+    if reads > _AXIS_READ_CAP:
+        raise SizeLimitError(f"layer has {reads} (window, tap) reads along one axis, above the "
+                             f"bound of {_AXIS_READ_CAP} for the oracle and in-arena execution")
     axes = []
     for n_out, s, p, k, n_in in ((layer.y_out, layer.s_y, layer.p_y, layer.k_y, layer.y_in),
                                  (layer.x_out, layer.s_x, layer.p_x, layer.k_x, layer.x_in)):
         pos = np.add.outer(np.arange(-p, n_out * s - p, s), np.arange(k))
         inside = (pos >= 0) & (pos < n_in)
         axes.append((np.nonzero(inside)[0], pos[inside]))
-    (oy, y), (ox, x) = axes
-    return (oy * layer.x_out, y * layer.x_in), (ox, x)
+    return axes
 
 
 def _last_read_window(layer: LayerSpec) -> np.ndarray:
     """Index of the last window that reads each input pixel, -1 if never read.
 
-    Input word ``a`` belongs to pixel ``a // c_in``: grouped or not, every
-    window that covers a pixel reads all of its channels.
+    Pixel ``(y, x)`` is last read by window ``ly[y] * x_out + lx[x]``, from
+    each axis's last reader.  Input word ``a`` belongs to pixel ``a // c_in``:
+    grouped or not, every window that covers a pixel reads all its channels.
     """
-    (wy, py), (wx, px) = _reads(layer)
-    lrw = np.full(layer.y_in * layer.x_in, -1, dtype=np.int64)
-    np.maximum.at(lrw, np.add.outer(py, px).ravel(), np.add.outer(wy, wx).ravel())
-    return lrw
+    (oy, y), (ox, x) = _reads(layer)
+    ly = np.full(layer.y_in, -1, dtype=np.int64)
+    lx = np.full(layer.x_in, -1, dtype=np.int64)
+    np.maximum.at(ly, y, oy)
+    np.maximum.at(lx, x, ox)
+    lrw = np.add.outer(ly * layer.x_out, lx)
+    lrw[ly < 0] = -1
+    lrw[:, lx < 0] = -1
+    return lrw.ravel()
 
 
 def _raw_min_safe_offset(layer: LayerSpec) -> int:
@@ -83,17 +96,15 @@ def _raw_min_safe_offset(layer: LayerSpec) -> int:
 
     ``max(c_out * window - address)`` over every read of a pixel's channel 0,
     its lowest word, and zero: zero when writes trail the reads by
-    construction or no input word is ever read.  A layer with more than
-    ``_READ_GRID_CAP`` read pairs is refused before the grid is built.
+    construction or no input word is ever read.  Window ``oy * x_out + ox``
+    and address ``(y * x_in + x) * c_in`` split it into row plus column.
     """
-    (wy, py), (wx, px) = _reads(layer)
-    pairs = wy.size * wx.size
-    if pairs > _READ_GRID_CAP:
-        raise SizeLimitError(f"layer has {pairs} (row read, column read) pairs, above the "
-                             f"oracle's bound of {_READ_GRID_CAP}; use the closed-form "
-                             "planner for layers this large")
-    c_out, c_in = layer.c_out, layer.c_in
-    return int(np.add.outer(c_out * wy - c_in * py, c_out * wx - c_in * px).max(initial=0))
+    (oy, y), (ox, x) = _reads(layer)
+    if not (oy.size and ox.size):
+        return 0
+    rows = layer.c_out * layer.x_out * oy - layer.c_in * layer.x_in * y
+    cols = layer.c_out * ox - layer.c_in * x
+    return max(0, int(rows.max()) + int(cols.max()))
 
 
 def min_safe_offset_bruteforce(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int:

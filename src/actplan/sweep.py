@@ -5,7 +5,8 @@ bounds (image edge, kernel, stride, padding, channels, depthwise variants)
 and checks the closed-form offset of each against the brute-force
 lifetime minimum.  The network sweep draws seeded random layer chains,
 executes them bit-exactly in a planned arena against the two-buffer
-reference, and probes plan tightness by decrementing offsets.
+reference, and probes offset tightness by lowering each layer below its
+lifetime minimum.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .oracle import (
     seeded_test_vectors,
     verify_layer,
 )
-from .planner import NetworkSpec, plan_network, plan_with_offsets, tightest_layer
+from .planner import NetworkSpec, plan_network, plan_with_offsets
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,6 @@ class ExecSummary:
     networks: int = 0
     bit_exact: int = 0
     oracle_plan_bit_exact: int = 0
-    plan_decrement_clobbers: int = 0
     tight_probes: int = 0
     tight_probe_clobbers: int = 0
     mismatches: list = field(default_factory=list)
@@ -156,11 +156,9 @@ class ExecSummary:
 def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
     """Execute ``count`` seeded random networks in-arena vs. the reference.
 
-    Three probes per network besides plain bit-exactness of the plan:
+    Two probes per network besides plain bit-exactness of the plan:
 
     * a plan built from the brute-force offsets must also run bit-exact,
-    * lowering the tightest layer's planned offset by one word counts how
-      often the plan sits exactly at the safety edge,
     * for every layer whose brute-force offset is constraint-bound (not the
       one-word floor), lowering it below that offset must clobber; this is
       the minimality witness for the oracle itself.
@@ -185,29 +183,16 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
         if np.array_equal(ref, execute_network_in_arena(net, oracle_plan, x, weights, checked=True)):
             summary.oracle_plan_bit_exact += 1
 
-        offsets = [lp.d for lp in plan.layer_plans]
-        ti = tightest_layer(plan)
-        lowered = list(offsets)
-        lowered[ti] = offsets[ti] - 1
-        if _clobbers(net, plan, lowered, x, weights):
-            summary.plan_decrement_clobbers += 1
-
         for li, layer in enumerate(net.layers):
             raw = _raw_min_safe_offset(layer)
             if raw < 1:
                 continue  # floor-bound: even a zero offset never collides
             summary.tight_probes += 1
-            below = list(offsets)
+            below = [lp.d for lp in plan.layer_plans]
             below[li] = raw - 1
-            if _clobbers(net, plan, below, x, weights):
+            try:
+                execute_network_in_arena(net, plan_with_offsets(net, below, plan.arena_size),
+                                         x, weights, checked=True)
+            except ClobberError:
                 summary.tight_probe_clobbers += 1
     return summary
-
-
-def _clobbers(net, plan, offsets, x, weights) -> bool:
-    corrupted = plan_with_offsets(net, offsets, arena_size=plan.arena_size)
-    try:
-        execute_network_in_arena(net, corrupted, x, weights, checked=True)
-    except ClobberError:
-        return True
-    return False

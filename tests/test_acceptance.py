@@ -3,10 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v``; a per-criterion pass/fail
 line is printed in the terminal summary.  Clauses of the stated criteria
 that cannot hold are kept as strict expected failures so every run
-re-demonstrates them: the plan-decrement clause of criterion 2 (a layer at
-the one-word floor stays safe at offset zero) and two published rows of
-criterion 4 (inputs printed too coarsely).  The sibling assertions pin down
-what holds instead.
+re-demonstrates them: two published rows of criterion 4 (inputs printed too
+coarsely).  The sibling assertions pin down what holds instead.
 """
 
 import pytest
@@ -94,22 +92,6 @@ def test_c2_minimality_witness(exec_sweep):
     )
     assert e.tight_probes > 0
     assert e.tight_probe_clobbers == e.tight_probes
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="in 63 of the 100 draws the arena-defining layer sits at the one-word "
-    "floor (its writes trail its reads by construction), so lowering it to zero "
-    "is still safe; the exactness of the offsets is witnessed against the "
-    "lifetime minimum instead (previous test)",
-)
-def test_c2_plan_decrement_always_clobbers(exec_sweep):
-    e = exec_sweep
-    record_criterion(
-        f"XFAIL criterion 2  decrement clause: tightest planned offset minus one "
-        f"clobbers on {e.plan_decrement_clobbers}/{e.networks} networks"
-    )
-    assert e.plan_decrement_clobbers == e.networks
 
 
 # --------------------------------------------------------------------------

@@ -111,17 +111,25 @@ class TestVerify:
         assert code == 0
         assert "skipped" in out and "closed-form" in out
 
-    def test_layer_above_read_grid_bound_skipped_but_planned(self, capsys, tmp_path):
-        # under the cycle cap, but its oracle grid would take 28.8 GB
-        net = tmp_path / "wide.net"
-        net.write_text("name: wide\nlayers:\n  - {x_in: 20000, y_in: 20000, c_in: 1, "
+    def test_layer_above_axis_read_bound_skipped_but_planned(self, capsys, tmp_path):
+        # under the cycle cap, but 50,331,648 (window, tap) reads along x
+        net = tmp_path / "row.net"
+        net.write_text("name: row\nlayers:\n  - {x_in: 16777216, y_in: 1, c_in: 1, "
+                       "k_x: 3, k_y: 1, s_x: 1, s_y: 1, p_x: 1, p_y: 0, c_out: 1}\n")
+        code, out, _ = run_cli(capsys, "verify", str(net))
+        assert code == 0
+        assert out.startswith("layer   1: skipped (") and "bound of 2097152" in out
+        code, out, _ = run_cli(capsys, "plan", str(net))
+        assert code == 0
+        assert "arena            16,777,217 words" in out
+
+    def test_large_layer_verifies(self, capsys, tmp_path):
+        net = tmp_path / "square.net"
+        net.write_text("name: square\nlayers:\n  - {x_in: 4000, y_in: 4000, c_in: 1, "
                        "k_x: 3, k_y: 3, s_x: 1, s_y: 1, p_x: 1, p_y: 1, c_out: 1}\n")
         code, out, _ = run_cli(capsys, "verify", str(net))
         assert code == 0
-        assert out.startswith("layer   1: skipped (") and "bound of 33554432" in out
-        code, out, _ = run_cli(capsys, "plan", str(net))
-        assert code == 0
-        assert "arena            400,020,001 words" in out
+        assert out == "layer   1: match (d=4001, paper 4001)\n"
 
     def test_full_scale_dmcnn_vd_verifies_at_raised_cap(self, capsys):
         code, out, _ = run_cli(capsys, "verify", str(bundled_network_path("dmcnn_vd")),

@@ -20,6 +20,7 @@ from actplan import (
     execute_network_reference,
     min_offset,
     min_safe_offset_bruteforce,
+    paper_offset,
     parse_network_file,
     plan_network,
     plan_with_offsets,
@@ -30,6 +31,7 @@ from actplan import (
     verify_layer,
 )
 
+from actplan.oracle import _last_read_window
 from conftest import loop_nest_exec, loop_nest_trace, square
 
 
@@ -114,8 +116,8 @@ class TestBruteForceOffset:
             min_safe_offset_bruteforce(self.BIG)
 
     def test_full_scale_layer_in_bounded_memory(self):
-        # above the default cap but verifiable: the oracle's scratch is one
-        # int64 per (row read, column read) pair, not one per input word
+        # above the default cap but verifiable: the oracle's scratch is a few
+        # int64 per (window, tap) read along each axis, not one per input word
         tracemalloc.start()
         try:
             d = min_safe_offset_bruteforce(self.BIG, cycle_cap=10**11)
@@ -123,18 +125,43 @@ class TestBruteForceOffset:
         finally:
             tracemalloc.stop()
         assert d == min_offset(self.BIG) == 41_024
-        assert peak < 64 * 2**20
+        assert peak < 2**20
 
-    # 3.6e9 MAC cycles, under the default cap, but as many (row read, column
-    # read) pairs: a 28.8 GB int64 grid
-    WIDE = LayerSpec(x_in=20000, y_in=20000, c_in=1, k_x=3, k_y=3, s_x=1, s_y=1,
-                     p_x=1, p_y=1, c_out=1)
+    # 1.44e8 MAC cycles and 12,000 reads along each axis
+    SQUARE = LayerSpec(x_in=4000, y_in=4000, c_in=1, k_x=3, k_y=3, s_x=1, s_y=1,
+                       p_x=1, p_y=1, c_out=1)
 
-    def test_read_grid_cap_refuses_before_allocating(self):
+    def test_large_layer_verifies_in_bounded_memory(self):
         tracemalloc.start()
         try:
-            with pytest.raises(SizeLimitError, match="3599760004 .* bound of 33554432"):
-                verify_layer(self.WIDE)
+            rep = verify_layer(self.SQUARE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.verdict, rep.d_oracle) == ("match", 4001)
+        assert peak < 16 * 2**20
+
+    def test_paper_offset_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            d = paper_offset(self.SQUARE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == 4001
+        assert peak < 16 * 2**20
+
+    # 5e7 MAC cycles, under the default cap, but 50,331,648 reads along x
+    ROW = LayerSpec(x_in=2**24, y_in=1, c_in=1, k_x=3, k_y=1, s_x=1, s_y=1,
+                    p_x=1, p_y=0, c_out=1)
+
+    def test_axis_read_bound_refuses_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="50331648 .* bound of 2097152"):
+                verify_layer(self.ROW)
+            with pytest.raises(SizeLimitError, match="bound of 2097152"):
+                _last_read_window(self.ROW)  # the in-arena executor's table
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,3 +406,19 @@ class TestFullScale:
             with pytest.raises(ClobberError) as exc:
                 execute_network_in_arena(net, bad, x, weights, checked=True)
             assert exc.value.layer_index == i
+
+    def test_checked_execution_in_bounded_memory(self):
+        # the last-reader table is one int64 per pixel, built from one
+        # last-reader vector per axis
+        net = NetworkSpec("square", (LayerSpec(x_in=2000, y_in=2000, c_in=1, k_x=3, k_y=3,
+                                               s_x=1, s_y=1, p_x=1, p_y=1, c_out=1),))
+        plan = plan_network(net)
+        x, weights = seeded_test_vectors(net, seed=0)
+        tracemalloc.start()
+        try:
+            got = execute_network_in_arena(net, plan, x, weights, checked=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, execute_network_reference(net, x, weights))
+        assert peak < 4 * 8 * plan.arena_size
