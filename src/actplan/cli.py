@@ -105,7 +105,7 @@ def _cmd_sweep(args) -> int:
             f"execution sweep: {ex.networks} seeded networks (seed {args.seed})",
             f"  bit-exact in-arena           {ex.bit_exact}/{ex.networks}",
             f"  bit-exact at oracle offsets  {ex.oracle_plan_bit_exact}/{ex.networks}",
-            f"  clobber when lowered below the lifetime minimum:   "
+            f"  clobber when lowered below the lifetime minimum: "
             f"{ex.tight_probe_clobbers}/{ex.tight_probes}",
         ]
         if ex.mismatches:

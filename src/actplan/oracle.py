@@ -6,8 +6,8 @@ of a convolution layer (windows in y, x order; padded taps read nothing), and
 whole networks are executed bit-exactly inside one flat arena to prove that a
 plan never destroys data that is still needed.  The one fact shared with the
 closed form is that reads are a product: window ``(oy, ox)`` reads pixel
-``(y, x)`` exactly when it reads row ``y`` and column ``x``, so reads are
-listed per axis and a maximum over all of them is a row plus a column maximum.
+``(y, x)`` exactly when it reads row ``y`` and column ``x``, so a maximum over
+them is a row plus a column maximum, from reads built once per distinct axis.
 
 Write timing contract: all ``c_out`` output words of one window are committed
 together once its final tap has been read.  Every output block of a window
@@ -31,7 +31,7 @@ from .model import LayerSpec, min_offset
 DEFAULT_CYCLE_CAP = 4_000_000_000
 
 # Cap on the (window, tap) reads along either axis: at the cap the oracle's
-# scratch peaks at 128 MiB.
+# scratch peaks at 80 MiB.
 _AXIS_READ_CAP = 2**21
 
 
@@ -48,29 +48,22 @@ class OracleReport:
         return self.d_closed_form - self.d_oracle
 
 
-def _check_cap(layer: LayerSpec, cap: int) -> None:
-    cycles = layer.m_out * layer.block_cycles
-    if cycles > cap:
-        raise SizeLimitError(
-            f"layer needs {cycles} MAC cycles, above the brute-force cap of {cap}; "
-            "use the closed-form planner for layers this large"
-        )
-
-
-def _reads(layer: LayerSpec):
-    """Every in-bounds read as (window, index) arrays: rows ``(oy, y)``, then
-    columns ``(ox, x)``.  Refused before allocating above ``_AXIS_READ_CAP``."""
-    reads = max(layer.y_out * layer.k_y, layer.x_out * layer.k_x)
+def _axes(layer: LayerSpec):
+    """Each axis's ``(n_out, s, p, k, n_in)``, rows first; refuses over ``_AXIS_READ_CAP`` reads."""
+    y_out, x_out = layer.y_out, layer.x_out
+    reads = max(y_out * layer.k_y, x_out * layer.k_x)
     if reads > _AXIS_READ_CAP:
         raise SizeLimitError(f"layer has {reads} (window, tap) reads along one axis, above the "
                              f"bound of {_AXIS_READ_CAP} for the oracle and in-arena execution")
-    axes = []
-    for n_out, s, p, k, n_in in ((layer.y_out, layer.s_y, layer.p_y, layer.k_y, layer.y_in),
-                                 (layer.x_out, layer.s_x, layer.p_x, layer.k_x, layer.x_in)):
-        pos = np.add.outer(np.arange(-p, n_out * s - p, s), np.arange(k))
-        inside = (pos >= 0) & (pos < n_in)
-        axes.append((np.nonzero(inside)[0], pos[inside]))
-    return axes
+    return ((y_out, layer.s_y, layer.p_y, layer.k_y, layer.y_in),
+            (x_out, layer.s_x, layer.p_x, layer.k_x, layer.x_in))
+
+
+def _axis_reads(n_out: int, s: int, p: int, k: int, n_in: int):
+    """Every in-bounds read along one axis as (window, index) arrays."""
+    pos = np.add.outer(np.arange(-p, n_out * s - p, s), np.arange(k))
+    inside = (pos >= 0) & (pos < n_in)
+    return np.nonzero(inside)[0], pos[inside]
 
 
 def _last_read_window(layer: LayerSpec) -> np.ndarray:
@@ -80,7 +73,7 @@ def _last_read_window(layer: LayerSpec) -> np.ndarray:
     each axis's last reader.  Input word ``a`` belongs to pixel ``a // c_in``:
     grouped or not, every window that covers a pixel reads all its channels.
     """
-    (oy, y), (ox, x) = _reads(layer)
+    (oy, y), (ox, x) = [_axis_reads(*axis) for axis in _axes(layer)]
     ly = np.full(layer.y_in, -1, dtype=np.int64)
     lx = np.full(layer.x_in, -1, dtype=np.int64)
     np.maximum.at(ly, y, oy)
@@ -91,20 +84,37 @@ def _last_read_window(layer: LayerSpec) -> np.ndarray:
     return lrw.ravel()
 
 
-def _raw_min_safe_offset(layer: LayerSpec) -> int:
-    """Unfloored lifetime constraint: least d with no write/read collision.
+def _raw_min_safe_offsets(layers, cycle_cap: int = DEFAULT_CYCLE_CAP) -> list:
+    """Unfloored lifetime constraint of each layer: least d with no write/read collision.
 
     ``max(c_out * window - address)`` over every read of a pixel's channel 0,
-    its lowest word, and zero: zero when writes trail the reads by
-    construction or no input word is ever read.  Window ``oy * x_out + ox``
-    and address ``(y * x_in + x) * c_in`` split it into row plus column.
+    its lowest word, and zero.  Window ``oy * x_out + ox`` and address
+    ``(y * x_in + x) * c_in`` split it into a row plus a column term, each the
+    largest ``a * window - b * index`` over one axis's reads.  All layers are
+    checked against both caps first; then each distinct axis's reads are built
+    once, for (layers x reads) matrices of at most ``_AXIS_READ_CAP`` entries.
     """
-    (oy, y), (ox, x) = _reads(layer)
-    if not (oy.size and ox.size):
-        return 0
-    rows = layer.c_out * layer.x_out * oy - layer.c_in * layer.x_in * y
-    cols = layer.c_out * ox - layer.c_in * x
-    return max(0, int(rows.max()) + int(cols.max()))
+    groups, terms = {}, [0] * (2 * len(layers))  # axis -> [(a, b, term slot)]
+    for n, layer in enumerate(layers):
+        cycles = layer.m_out * layer.block_cycles
+        if cycles > cycle_cap:
+            raise SizeLimitError(
+                f"layer needs {cycles} MAC cycles, above the brute-force cap of {cycle_cap}; "
+                "use the closed-form planner for layers this large")
+        rows, cols = _axes(layer)
+        groups.setdefault(rows, []).append((layer.c_out * cols[0], cols[4] * layer.c_in, 2 * n))
+        groups.setdefault(cols, []).append((layer.c_out, layer.c_in, 2 * n + 1))
+    for axis, coefs in groups.items():
+        window, index = _axis_reads(*axis)
+        step = _AXIS_READ_CAP // max(1, window.size)
+        for r in range(0, len(coefs), step):
+            a, b, slots = zip(*coefs[r:r + step])
+            m = np.multiply.outer(a, window)
+            m -= np.multiply.outer(b, index)
+            # an axis with no read gives the least int64: its layers' sums stay below zero
+            for slot, term in zip(slots, m.max(axis=1, initial=np.iinfo(np.int64).min).tolist()):
+                terms[slot] = term
+    return [max(0, row + col) for row, col in zip(terms[::2], terms[1::2])]
 
 
 def min_safe_offset_bruteforce(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int:
@@ -117,8 +127,7 @@ def min_safe_offset_bruteforce(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_
     ``d`` directly; the floor of one word mirrors the strict separation the
     closed form guarantees.
     """
-    _check_cap(layer, cycle_cap)
-    return max(1, _raw_min_safe_offset(layer))
+    return max(1, _raw_min_safe_offsets([layer], cycle_cap)[0])
 
 
 def verify_layer(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP,
@@ -132,14 +141,16 @@ def verify_layer(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP,
     keeps the output off the carry.
     """
     d_closed = min_offset(layer) if closed_form_offset is None else closed_form_offset
-    d_oracle = min_safe_offset_bruteforce(layer, cycle_cap)
-    if d_closed < d_oracle:
-        verdict = "UNSAFE"
-    elif d_closed == d_oracle:
-        verdict = "match"
-    else:
-        verdict = "closed_form_conservative"
-    return OracleReport(d_oracle=d_oracle, d_closed_form=d_closed, verdict=verdict)
+    return next(_verify_layers([layer], cycle_cap, [d_closed]))
+
+
+def _verify_layers(layers, cycle_cap: int, closed_form_offsets):
+    """:func:`verify_layer` of each layer against its closed-form offset."""
+    for d_closed, raw in zip(closed_form_offsets, _raw_min_safe_offsets(layers, cycle_cap)):
+        d_oracle = max(1, raw)
+        verdict = ("UNSAFE" if d_closed < d_oracle else
+                   "match" if d_closed == d_oracle else "closed_form_conservative")
+        yield OracleReport(d_oracle=d_oracle, d_closed_form=d_closed, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +249,16 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
             raise DimensionMismatchError(
                 f"layer {lp.index + 1}: {max(lp.m_in, lp.m_out)} input or output words "
                 f"exceed the {size}-word arena")
+    # load and unload by at most two contiguous copies, split where the run wraps
     arena = np.zeros(size, dtype=np.int64)
-    arena[(plan.layer_plans[0].input_base + np.arange(x.size)) % size] = x.reshape(-1)
+    base = plan.layer_plans[0].input_base
+    arena[base:base + x.size] = x.reshape(-1)[:size - base]
+    arena[:max(0, base + x.size - size)] = x.reshape(-1)[size - base:]
     for layer, (w, b), lp in zip(net.layers, grouped, plan.layer_plans):
         _run_layer_in_arena(layer, w, b, lp, arena, checked)
     last = net.layers[-1]
-    out = arena[(plan.layer_plans[-1].output_base + np.arange(last.m_out)) % size]
+    base = plan.layer_plans[-1].output_base
+    out = np.concatenate((arena[base:base + last.m_out], arena[:max(0, base + last.m_out - size)]))
     return out.reshape(last.y_out, last.x_out, last.c_out)
 
 

@@ -2,32 +2,35 @@
 
 The layer sweep enumerates every square layer shape inside configurable
 bounds (image edge, kernel, stride, padding, channels, depthwise variants)
-and checks the closed-form offset of each against the brute-force
-lifetime minimum.  The network sweep draws seeded random layer chains,
-executes them bit-exactly in a planned arena against the two-buffer
-reference, and probes offset tightness by lowering each layer below its
-lifetime minimum.
+and checks, one fixed-size slice at a time, the closed-form offset of each
+against the brute-force lifetime minimum.  The network sweep draws seeded
+random layer chains, executes them bit-exactly in a planned arena against
+the two-buffer reference, and probes offset tightness by lowering each
+layer below its lifetime minimum.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import ClobberError
-from .model import LayerSpec
+from .model import LayerSpec, min_offset
 from .oracle import (
     DEFAULT_CYCLE_CAP,
-    _raw_min_safe_offset,
+    _raw_min_safe_offsets,
+    _verify_layers,
     execute_network_in_arena,
     execute_network_reference,
-    min_safe_offset_bruteforce,
     seeded_test_vectors,
-    verify_layer,
 )
 from .planner import NetworkSpec, plan_network, plan_with_offsets
+
+
+_SWEEP_SLICE = 1024  # layers verified per oracle batch in the layer sweep
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,11 @@ def sweep_layer_configs(bounds: SweepBounds = SweepBounds()):
 
 def run_layer_sweep(bounds: SweepBounds = SweepBounds(),
                     cycle_cap: int = DEFAULT_CYCLE_CAP) -> SweepSummary:
-    """Verify the closed form against the oracle over the whole domain."""
-    summary = SweepSummary()
-    for layer in sweep_layer_configs(bounds):
-        summary.record(layer, verify_layer(layer, cycle_cap=cycle_cap))
+    """Verify the closed form against the oracle over the whole domain, in fixed-size batches."""
+    summary, configs = SweepSummary(), sweep_layer_configs(bounds)
+    while batch := list(islice(configs, _SWEEP_SLICE)):
+        for layer, report in zip(batch, _verify_layers(batch, cycle_cap, map(min_offset, batch))):
+            summary.record(layer, report)
     return summary
 
 
@@ -178,13 +182,14 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
             summary.mismatches.append(net)
             continue
 
-        oracle_offsets = [min_safe_offset_bruteforce(layer) for layer in net.layers]
-        oracle_plan = plan_with_offsets(net, oracle_offsets)
-        if np.array_equal(ref, execute_network_in_arena(net, oracle_plan, x, weights, checked=True)):
+        raws = _raw_min_safe_offsets(net.layers)
+        oracle_plan = plan_with_offsets(net, [max(1, raw) for raw in raws])
+        # a plan equal to the one just run is bit-exact without running it again
+        if oracle_plan == plan or np.array_equal(
+                ref, execute_network_in_arena(net, oracle_plan, x, weights, checked=True)):
             summary.oracle_plan_bit_exact += 1
 
-        for li, layer in enumerate(net.layers):
-            raw = _raw_min_safe_offset(layer)
+        for li, raw in enumerate(raws):
             if raw < 1:
                 continue  # floor-bound: even a zero offset never collides
             summary.tight_probes += 1

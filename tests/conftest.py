@@ -59,6 +59,22 @@ def loop_nest_trace(layer):
     return tuple(reads), tuple(writes)
 
 
+def exhaustive(layer):
+    """Least offset ``d >= 0`` whose writes never land on a word a later
+    window still reads, searched one ``d`` at a time over the literal trace:
+    an independent reference for the oracle's unfloored minimum."""
+    reads, writes = loop_nest_trace(layer)
+    last_window = {}
+    for k, addr in reads:
+        last_window[addr] = k // layer.c_out
+    m_in = layer.x_in * layer.y_in * layer.c_in
+    for d in range(m_in + len(writes) + 1):
+        if all(last_window.get(k - d, -1) <= k // layer.c_out
+               for k, _ in writes if 0 <= k - d < m_in):
+            return d
+    raise AssertionError("no safe offset found")
+
+
 def loop_nest_exec(net, plan, x, weights, checked=False):
     """In-arena execution stepped one MAC at a time, window by window.
 

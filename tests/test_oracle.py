@@ -26,13 +26,14 @@ from actplan import (
     plan_with_offsets,
     random_network,
     read_pointer_at,
+    run_layer_sweep,
     seeded_test_vectors,
     sweep_layer_configs,
     verify_layer,
 )
 
-from actplan.oracle import _last_read_window
-from conftest import loop_nest_exec, loop_nest_trace, square
+from actplan.oracle import _last_read_window, _raw_min_safe_offsets
+from conftest import exhaustive, loop_nest_exec, loop_nest_trace, square
 
 
 class TestTrace:
@@ -82,30 +83,10 @@ class TestBruteForceOffset:
         assert min_safe_offset_bruteforce(square(4, k=3, p=1)) == 5
 
     def test_matches_exhaustive_small_search(self):
-        # independent re-derivation from the literal trace: smallest d whose
-        # writes never land on a word a later window still reads
-        def exhaustive(layer):
-            reads, writes = loop_nest_trace(layer)
-            last_window = {}
-            for k, addr in reads:
-                last_window[addr] = k // layer.c_out
-            m_in = layer.x_in * layer.y_in * layer.c_in
-            t_len = len(writes)
-            for d in range(1, m_in + t_len + 1):
-                ok = True
-                for k, _ in writes:
-                    a = k - d
-                    if 0 <= a < m_in and last_window.get(a, -1) > k // layer.c_out:
-                        ok = False
-                        break
-                if ok:
-                    return d
-            raise AssertionError("no safe offset found")
-
         for layer in (square(2, c_out=2), square(4, k=3, p=1), square(3, c_in=2, c_out=2),
                       square(5, k=1, s=2, c_out=3), square(2, k=1, p=1),
                       square(4, c_in=2, k=3, p=1, c_out=2, groups=2)):
-            assert min_safe_offset_bruteforce(layer) == exhaustive(layer), layer
+            assert min_safe_offset_bruteforce(layer) == max(1, exhaustive(layer)), layer
 
     # a full-scale dmcnn_vd middle layer: 1.5e10 MAC cycles
     BIG = LayerSpec(x_in=640, y_in=640, c_in=64, k_x=3, k_y=3, s_x=1, s_y=1,
@@ -155,11 +136,33 @@ class TestBruteForceOffset:
     ROW = LayerSpec(x_in=2**24, y_in=1, c_in=1, k_x=3, k_y=1, s_x=1, s_y=1,
                     p_x=1, p_y=0, c_out=1)
 
+    # exactly 2**21 reads along x: building them takes about 66 MiB
+    AT_BOUND = LayerSpec(x_in=2**21, y_in=1, c_in=1, k_x=1, k_y=1, s_x=1, s_y=1,
+                         p_x=0, p_y=0, c_out=1)
+
+    def test_scratch_at_the_axis_read_bound(self):
+        # both axes at exactly the bound, k=2 and padding 1 so that the
+        # first and last reads of each axis fall outside the image
+        edge = 2**20 - 1
+        layer = LayerSpec(x_in=edge, y_in=edge, c_in=1, k_x=2, k_y=2, s_x=1, s_y=1,
+                          p_x=1, p_y=1, c_out=2)
+        tracemalloc.start()
+        try:
+            d = min_safe_offset_bruteforce(layer, cycle_cap=10**14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == min_offset(layer)
+        assert peak < 128 * 2**20
+
     def test_axis_read_bound_refuses_before_allocating(self):
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimitError, match="50331648 .* bound of 2097152"):
                 verify_layer(self.ROW)
+            # a batch is checked whole before any layer's reads are built
+            with pytest.raises(SizeLimitError, match="50331648 .* bound of 2097152"):
+                _raw_min_safe_offsets([self.AT_BOUND, square(3), self.ROW])
             with pytest.raises(SizeLimitError, match="bound of 2097152"):
                 _last_read_window(self.ROW)  # the in-arena executor's table
             peak = tracemalloc.get_traced_memory()[1]
@@ -193,6 +196,19 @@ class TestVerify:
         assert (summary.total, summary.match, summary.conservative, summary.unsafe) == (5, 1, 2, 2)
         assert summary.max_gap == 2
         assert summary.first_conservative == summary.first_unsafe == layer
+
+    def test_layer_sweep_memory_does_not_grow_with_the_domain(self):
+        # the sweep verifies a slice of the domain at a time: the whole
+        # default domain of 9,218 layers at once peaks near 4 MiB
+        for bounds in (SweepBounds(), SweepBounds(max_dim=8)):
+            tracemalloc.start()
+            try:
+                summary = run_layer_sweep(bounds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert summary.total == sum(1 for _ in sweep_layer_configs(bounds))
+            assert peak < 2 * 2**20, (bounds, peak)
 
     def test_read_frontier_matches_future_window_needs(self):
         # at t=45 the model's frontier (1) equals the lowest address any
@@ -256,6 +272,21 @@ class TestExecutors:
         ref = execute_network_reference(net, x, weights)
         got = execute_network_in_arena(net, plan, x, weights, checked=True)
         assert np.array_equal(ref, got)
+
+    def test_plan_rotated_around_the_arena_runs_bit_exact(self):
+        # every base moved r words along the arena: the input load and the
+        # output unload each wrap at every possible point
+        net = NetworkSpec("pair", (square(4, c_in=2, k=3, p=1, c_out=3), square(4, c_in=3)))
+        plan = plan_network(net)
+        x, weights = seeded_test_vectors(net, seed=1)
+        ref = execute_network_reference(net, x, weights)
+        size = plan.arena_size
+        for r in range(size):
+            rotated = replace(plan, layer_plans=tuple(
+                replace(lp, input_base=(lp.input_base + r) % size,
+                        output_base=(lp.output_base + r) % size) for lp in plan.layer_plans))
+            assert np.array_equal(execute_network_in_arena(net, rotated, x, weights,
+                                                           checked=True), ref), r
 
     def test_offset_below_minimum_clobbers(self):
         net = NetworkSpec("tight", (square(4, k=3, p=1),))
@@ -409,7 +440,8 @@ class TestFullScale:
 
     def test_checked_execution_in_bounded_memory(self):
         # the last-reader table is one int64 per pixel, built from one
-        # last-reader vector per axis
+        # last-reader vector per axis, and the arena is loaded and unloaded
+        # by contiguous copies, with no index array per word
         net = NetworkSpec("square", (LayerSpec(x_in=2000, y_in=2000, c_in=1, k_x=3, k_y=3,
                                                s_x=1, s_y=1, p_x=1, p_y=1, c_out=1),))
         plan = plan_network(net)
@@ -421,4 +453,4 @@ class TestFullScale:
         finally:
             tracemalloc.stop()
         assert np.array_equal(got, execute_network_reference(net, x, weights))
-        assert peak < 4 * 8 * plan.arena_size
+        assert peak < 2.5 * 8 * plan.arena_size

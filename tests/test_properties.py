@@ -19,9 +19,12 @@ from actplan import (
 )
 
 import random
+from unittest.mock import patch
 
-from actplan.oracle import _last_read_window
-from conftest import loop_nest_trace
+from actplan import oracle
+from actplan.oracle import _last_read_window, _raw_min_safe_offsets
+from actplan.sweep import _SWEEP_SLICE
+from conftest import exhaustive, loop_nest_trace
 
 
 @st.composite
@@ -102,6 +105,20 @@ def test_closed_form_is_never_below_the_lifetime_minimum(layer):
     # output region destroy data a later window still reads; the separable
     # formula is exact, so it never spends a word more either
     assert min_offset(layer) == min_safe_offset_bruteforce(layer)
+
+
+@given(st.lists(layers(), min_size=1, max_size=5), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_batched_offsets_equal_exhaustive_search(distinct, rng):
+    # one batch of the layers repeated and shuffled, up to two sweep slices
+    # long; with the (layers x reads) matrix cut to 64 entries an axis shared
+    # by many layers spans many matrix slices
+    want = [exhaustive(layer) for layer in distinct]
+    picks = [rng.randrange(len(distinct)) for _ in range(rng.randint(1, 2 * _SWEEP_SLICE + 1))]
+    batch = [distinct[i] for i in picks]
+    assert _raw_min_safe_offsets(batch) == [want[i] for i in picks]
+    with patch.object(oracle, "_AXIS_READ_CAP", 64):
+        assert _raw_min_safe_offsets(batch) == [want[i] for i in picks]
 
 
 @given(layers())
