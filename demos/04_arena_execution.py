@@ -14,12 +14,12 @@ from actplan import (
     ClobberError,
     execute_network_in_arena,
     execute_network_reference,
-    min_safe_offset_bruteforce,
     plan_network,
     plan_with_offsets,
     random_network,
     seeded_test_vectors,
     tightest_layer,
+    verify_layer,
 )
 
 net = random_network(random.Random(2022))
@@ -34,7 +34,7 @@ got = execute_network_in_arena(net, plan, x, weights, checked=True)
 print("in-arena vs reference:", "bit-exact" if np.array_equal(ref, got) else "MISMATCH")
 
 tight = tightest_layer(plan)
-floor = min_safe_offset_bruteforce(net.layers[tight])
+floor = verify_layer(net.layers[tight]).d_oracle
 offsets = [lp.d for lp in plan.layer_plans]
 offsets[tight] = floor - 1
 print(f"\nlowering layer {tight + 1}'s offset below the lifetime "

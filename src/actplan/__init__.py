@@ -27,7 +27,7 @@ from .oracle import (
     OracleReport,
     execute_network_in_arena,
     execute_network_reference,
-    min_safe_offset_bruteforce,
+    lifetime_minima,
     seeded_test_vectors,
     verify_layer,
 )
@@ -57,7 +57,7 @@ __all__ = [
     "ActplanError", "ChainMismatchError", "ClobberError", "DimensionMismatchError",
     "InvalidLayerError", "NetworkFileError", "SizeLimitError",
     "LayerSpec", "read_pointer_at", "paper_offset", "min_offset",
-    "OracleReport", "min_safe_offset_bruteforce", "verify_layer",
+    "OracleReport", "lifetime_minima", "verify_layer",
     "execute_network_reference", "execute_network_in_arena", "seeded_test_vectors",
     "NetworkSpec", "LayerPlan", "MemoryPlan", "packed_layers", "plan_network",
     "plan_with_offsets", "tightest_layer",

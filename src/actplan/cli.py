@@ -35,6 +35,15 @@ from .report import plan_to_json, render_plan_text
 from .sweep import SweepBounds, run_exec_sweep, run_layer_sweep
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no less than ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _cmd_plan(args) -> int:
     net = parse_network_file(args.file)
     plan = plan_network(net)
@@ -61,7 +70,6 @@ _BOUND_FLAGS = ("max_dim", "max_kernel", "max_stride", "max_pad", "max_channels"
 def _cmd_verify(args) -> int:
     net = parse_network_file(args.file)
     rows = []
-    any_unsafe = False
     for i, layer in enumerate(net.layers):
         try:
             rep = verify_layer(layer, cycle_cap=args.cycle_cap)
@@ -77,14 +85,13 @@ def _cmd_verify(args) -> int:
         }
         if rep.verdict == "closed_form_conservative":
             row["gap"] = rep.gap
-        any_unsafe = any_unsafe or rep.verdict == "UNSAFE"
         rows.append(row)
     if args.format == "json":
         print(json.dumps({"name": net.name, "layers": rows}, indent=2))
     else:
         for row in rows:
             print(f"layer {row['layer']:>3}: " + _VERDICT_TEXT[row["verdict"]].format(**row))
-    return 1 if any_unsafe else 0
+    return 1 if any(row["verdict"] == "UNSAFE" for row in rows) else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -157,28 +164,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed form vs. brute-force minimum, per layer")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP,
+    p.add_argument("--cycle-cap", type=_int_at_least(1), default=DEFAULT_CYCLE_CAP,
                    help="skip layers needing more MAC cycles than this")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="exhaustive layer sweep and randomized execution")
     bounds = SweepBounds()
     for name in _BOUND_FLAGS:
-        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(bounds, name))
-    p.add_argument("--networks", type=int, default=100,
+        p.add_argument("--" + name.replace("_", "-"), type=_int_at_least(0),
+                       default=getattr(bounds, name))
+    p.add_argument("--networks", type=_int_at_least(0), default=100,
                    help="number of seeded random networks to execute (0 disables)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("exec", help="in-arena vs. reference execution on seeded data")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--checked", action="store_true",
                    help="stop at the first early write, onto a word still due to be read, "
                         "and report it")
-    p.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP,
+    p.add_argument("--cycle-cap", type=_int_at_least(1), default=DEFAULT_CYCLE_CAP,
                    help="refuse networks needing more MAC cycles than this")
-    p.add_argument("--corrupt-offset", type=int, default=0, metavar="N",
+    p.add_argument("--corrupt-offset", type=_int_at_least(0), default=0, metavar="N",
                    help="lower the tightest layer's offset by N before executing")
     p.set_defaults(func=_cmd_exec)
     return parser

@@ -22,7 +22,7 @@ class ChainMismatchError(ActplanError):
 
 
 class SizeLimitError(ActplanError):
-    """A layer is too large for brute-force verification; use the closed form."""
+    """A layer or network is above a bound of the oracle or the executors."""
 
 
 class DimensionMismatchError(ActplanError):

@@ -1,13 +1,15 @@
 """Ground truth for the planner: lifetime brute force and executors.
 
 Nothing here uses the closed form's last-window formula or the pointer model.
-The minimal safe offset is a maximum over every in-bounds (window, tap) read
-of a convolution layer (windows in y, x order; padded taps read nothing), and
-whole networks are executed bit-exactly inside one flat arena to prove that a
-plan never destroys data that is still needed.  The one fact shared with the
-closed form is that reads are a product: window ``(oy, ox)`` reads pixel
-``(y, x)`` exactly when it reads row ``y`` and column ``x``, so a maximum over
-them is a row plus a column maximum, from reads built once per distinct axis.
+:func:`lifetime_minima` gives each layer's least safe offset as a maximum
+over every in-bounds (window, tap) read (windows in y, x order; padded taps
+read nothing); :func:`verify_layer` floors it at one word and judges a
+closed-form offset against it.  Whole networks are executed bit-exactly
+inside one flat arena to prove that a plan never destroys data that is still
+needed.  The one fact shared with the closed form is that reads are a
+product: window ``(oy, ox)`` reads pixel ``(y, x)`` exactly when it reads
+row ``y`` and column ``x``, so a maximum over them is a row plus a column
+maximum, from reads built once per distinct axis.
 
 Write timing contract: all ``c_out`` output words of one window are committed
 together once its final tap has been read.  Every output block of a window
@@ -34,6 +36,10 @@ DEFAULT_CYCLE_CAP = 4_000_000_000
 # scratch peaks at 80 MiB.
 _AXIS_READ_CAP = 2**21
 
+# Cap on each layer's input, output and weight words and on the arena, for
+# the executors and their test vectors: 256 MiB of int64 per buffer at the cap.
+_WORD_CAP = 2**25
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -41,7 +47,11 @@ class OracleReport:
 
     d_oracle: int
     d_closed_form: int
-    verdict: str  # "match" | "closed_form_conservative" | "UNSAFE"
+
+    @property
+    def verdict(self) -> str:
+        return ("UNSAFE" if self.gap < 0 else
+                "match" if self.gap == 0 else "closed_form_conservative")
 
     @property
     def gap(self) -> int:
@@ -84,8 +94,8 @@ def _last_read_window(layer: LayerSpec) -> np.ndarray:
     return lrw.ravel()
 
 
-def _raw_min_safe_offsets(layers, cycle_cap: int = DEFAULT_CYCLE_CAP) -> list:
-    """Unfloored lifetime constraint of each layer: least d with no write/read collision.
+def lifetime_minima(layers, cycle_cap: int = DEFAULT_CYCLE_CAP) -> list:
+    """Unfloored least safe ``d >= 0`` of each layer: no write lands on a word still to be read.
 
     ``max(c_out * window - address)`` over every read of a pixel's channel 0,
     its lowest word, and zero.  Window ``oy * x_out + ox`` and address
@@ -117,22 +127,9 @@ def _raw_min_safe_offsets(layers, cycle_cap: int = DEFAULT_CYCLE_CAP) -> list:
     return [max(0, row + col) for row, col in zip(terms[::2], terms[1::2])]
 
 
-def min_safe_offset_bruteforce(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int:
-    """Exhaustive minimal safe offset between output and input regions.
-
-    Output word ``e`` lands ``e - d`` words above the input base and commits
-    when its window finishes, so ``d`` is safe iff for every input word ``a``
-    the committing window of the write that lands on ``a`` is no earlier than
-    the last window reading ``a``.  Solving that per read gives the least
-    ``d`` directly; the floor of one word mirrors the strict separation the
-    closed form guarantees.
-    """
-    return max(1, _raw_min_safe_offsets([layer], cycle_cap)[0])
-
-
 def verify_layer(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP,
                  closed_form_offset: int | None = None) -> OracleReport:
-    """Compare the closed-form offset with the brute-force minimum.
+    """Compare the closed-form offset with the brute-force minimum, floored at one word.
 
     ``closed_form_offset`` overrides the computed value, e.g. to check a
     stored or hand-picked offset.  The closed form equals the minimum on
@@ -141,16 +138,7 @@ def verify_layer(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP,
     keeps the output off the carry.
     """
     d_closed = min_offset(layer) if closed_form_offset is None else closed_form_offset
-    return next(_verify_layers([layer], cycle_cap, [d_closed]))
-
-
-def _verify_layers(layers, cycle_cap: int, closed_form_offsets):
-    """:func:`verify_layer` of each layer against its closed-form offset."""
-    for d_closed, raw in zip(closed_form_offsets, _raw_min_safe_offsets(layers, cycle_cap)):
-        d_oracle = max(1, raw)
-        verdict = ("UNSAFE" if d_closed < d_oracle else
-                   "match" if d_closed == d_oracle else "closed_form_conservative")
-        yield OracleReport(d_oracle=d_oracle, d_closed_form=d_closed, verdict=verdict)
+    return OracleReport(max(1, lifetime_minima([layer], cycle_cap)[0]), d_closed)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +149,19 @@ def _verify_layers(layers, cycle_cap: int, closed_form_offsets):
 _BATCH_WORDS = 1 << 15
 
 
-def _checked_inputs(net, input_tensor, weights, cap: int):
+def _refuse_over_word_cap(net, arena_size: int = 0) -> None:
+    """Refuse a layer input, output or weight set, or an arena, above ``_WORD_CAP`` words."""
+    words = max(arena_size, *(max(layer.m_in, layer.m_out, layer.c_out * layer.block_cycles)
+                              for layer in net.layers))
+    if words > _WORD_CAP:
+        raise SizeLimitError(f"network needs a {words}-word buffer, above the execution "
+                             f"bound of {_WORD_CAP} words")
+
+
+def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
     """The input as int64 and each layer's weights grouped as (groups, c_out
     per group, k_y, k_x, c_in per group) with its bias, after refusing
-    networks above the cycle cap and tensors of the wrong shape."""
+    networks above the cycle or word cap and tensors of the wrong shape."""
     layers = net.layers
     cycles = sum(layer.m_out * layer.block_cycles for layer in layers)
     if cycles > cap:
@@ -172,6 +169,7 @@ def _checked_inputs(net, input_tensor, weights, cap: int):
             f"network needs {cycles} MAC cycles, above the execution cap of {cap}; "
             "raise the cap to execute it anyway"
         )
+    _refuse_over_word_cap(net, arena_size)
     x = np.asarray(input_tensor, dtype=np.int64)
     first = layers[0]
     if x.shape != (first.y_in, first.x_in, first.c_in):
@@ -239,7 +237,7 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
     an unchecked run of a broken plan gives exactly the window-by-window
     result.  Arithmetic is int64 and wraps modulo 2**64, as in the reference.
     """
-    x, grouped = _checked_inputs(net, input_tensor, weights, cycle_cap)
+    x, grouped = _checked_inputs(net, input_tensor, weights, cycle_cap, plan.arena_size)
     if ([(lp.m_in, lp.m_out) for lp in plan.layer_plans]
             != [(layer.m_in, layer.m_out) for layer in net.layers]):
         raise DimensionMismatchError("plan is for another network: per-layer word counts differ")
@@ -317,6 +315,7 @@ def _run_windows(layer, w, b, lp, arena, taps, w0, w1) -> None:
 
 def seeded_test_vectors(net, seed: int):
     """Deterministic random input and weights for a network, each in -8..8."""
+    _refuse_over_word_cap(net)
     rng = np.random.default_rng(seed)
     first = net.layers[0]
     x = rng.integers(-8, 9, size=(first.y_in, first.x_in, first.c_in), dtype=np.int64)

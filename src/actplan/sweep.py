@@ -21,10 +21,10 @@ from .errors import ClobberError
 from .model import LayerSpec, min_offset
 from .oracle import (
     DEFAULT_CYCLE_CAP,
-    _raw_min_safe_offsets,
-    _verify_layers,
+    OracleReport,
     execute_network_in_arena,
     execute_network_reference,
+    lifetime_minima,
     seeded_test_vectors,
 )
 from .planner import NetworkSpec, plan_network, plan_with_offsets
@@ -110,8 +110,8 @@ def run_layer_sweep(bounds: SweepBounds = SweepBounds(),
     """Verify the closed form against the oracle over the whole domain, in fixed-size batches."""
     summary, configs = SweepSummary(), sweep_layer_configs(bounds)
     while batch := list(islice(configs, _SWEEP_SLICE)):
-        for layer, report in zip(batch, _verify_layers(batch, cycle_cap, map(min_offset, batch))):
-            summary.record(layer, report)
+        for layer, raw in zip(batch, lifetime_minima(batch, cycle_cap)):
+            summary.record(layer, OracleReport(max(1, raw), min_offset(layer)))
     return summary
 
 
@@ -182,7 +182,7 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
             summary.mismatches.append(net)
             continue
 
-        raws = _raw_min_safe_offsets(net.layers)
+        raws = lifetime_minima(net.layers)
         oracle_plan = plan_with_offsets(net, [max(1, raw) for raw in raws])
         # a plan equal to the one just run is bit-exact without running it again
         if oracle_plan == plan or np.array_equal(

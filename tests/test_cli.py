@@ -1,12 +1,16 @@
 """Command line behaviour: output, exit codes, determinism."""
 
 import json
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from actplan import LayerPlan, MemoryPlan, bundled_network_path, parse_network_file, plan_network
 from actplan.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+TINY_PAIR = str(FIXTURES / "tiny_pair.net")
 
 
 def run_cli(capsys, *argv):
@@ -186,3 +190,38 @@ class TestExec:
         code, _, err = run_cli(capsys, "exec", str(bundled_network_path("dmcnn_vd")))
         assert code == 2
         assert "cap" in err
+
+    def test_network_above_word_bound_refused(self, capsys, tmp_path):
+        # 1,000 MAC cycles, far under the cycle cap, but 60,000,000 input words
+        net = tmp_path / "probe.net"
+        net.write_text("name: probe\nlayers:\n  - {x_in: 60000000, y_in: 1, c_in: 1, "
+                       "k_x: 1, k_y: 1, s_x: 60000, s_y: 1, p_x: 0, p_y: 0, c_out: 1}\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "exec", str(net), "--checked")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == ("error: network needs a 60000000-word buffer, above the execution "
+                       "bound of 33554432 words\n")
+        assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ("exec", TINY_PAIR, "--seed", "-1"),
+    ("sweep", "--seed", "-1"),
+    ("sweep", "--networks", "-1"),
+    ("sweep", "--max-pad", "-1"),
+    ("exec", TINY_PAIR, "--corrupt-offset", "-3"),
+    ("verify", TINY_PAIR, "--cycle-cap", "0"),
+    ("exec", TINY_PAIR, "--cycle-cap", "-5"),
+], ids=["exec-seed", "sweep-seed", "networks", "sweep-bound", "corrupt-offset",
+        "verify-cycle-cap", "exec-cycle-cap"])
+def test_bad_number_exits_two_with_usage(capsys, argv):
+    # exit 1 means UNSAFE, mismatch or clobber; a bad flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.startswith("usage: actplan ") and f"argument {argv[-2]}: must be at least" in err

@@ -13,8 +13,8 @@ from actplan import (
     NetworkSpec,
     SweepBounds,
     bundled_network_path,
+    lifetime_minima,
     min_offset,
-    min_safe_offset_bruteforce,
     paper_offset,
     parse_network_file,
     plan_network,
@@ -175,8 +175,8 @@ class TestMinOffset:
                              max_channels=2, grouped=False)
         layers = list(sweep_layer_configs(bounds))
         assert len(layers) == 17248
-        for layer in layers:
-            assert min_offset(layer) == min_safe_offset_bruteforce(layer), layer
+        for layer, raw in zip(layers, lifetime_minima(layers)):
+            assert min_offset(layer) == max(1, raw), layer
 
     def test_equals_row_and_column_scan(self):
         # edges up to 300, where the oracle is too slow to compare with

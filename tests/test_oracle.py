@@ -18,8 +18,8 @@ from actplan import (
     bundled_network_path,
     execute_network_in_arena,
     execute_network_reference,
+    lifetime_minima,
     min_offset,
-    min_safe_offset_bruteforce,
     paper_offset,
     parse_network_file,
     plan_network,
@@ -32,7 +32,7 @@ from actplan import (
     verify_layer,
 )
 
-from actplan.oracle import _last_read_window, _raw_min_safe_offsets
+from actplan.oracle import _last_read_window, _refuse_over_word_cap
 from conftest import exhaustive, loop_nest_exec, loop_nest_trace, square
 
 
@@ -71,22 +71,24 @@ class TestTrace:
 
 class TestBruteForceOffset:
     def test_lockstep(self):
-        for edge in (1, 3, 6):
-            assert min_safe_offset_bruteforce(square(edge)) == 1
+        # no write ever lands on a word still to be read; the report floors
+        # the minimum at one word
+        assert lifetime_minima([square(edge) for edge in (1, 3, 6)]) == [0, 0, 0]
+        assert verify_layer(square(3)).d_oracle == 1
 
     def test_channel_doubling(self):
         # the final window's own words may be overwritten once its last tap
         # is read: minimum 3, where the paper's pointer model asks for 5
-        assert min_safe_offset_bruteforce(square(2, c_out=2)) == 3
+        assert lifetime_minima([square(2, c_out=2)]) == [3]
 
     def test_same_padding_three_by_three(self):
-        assert min_safe_offset_bruteforce(square(4, k=3, p=1)) == 5
+        assert lifetime_minima([square(4, k=3, p=1)]) == [5]
 
     def test_matches_exhaustive_small_search(self):
         for layer in (square(2, c_out=2), square(4, k=3, p=1), square(3, c_in=2, c_out=2),
                       square(5, k=1, s=2, c_out=3), square(2, k=1, p=1),
                       square(4, c_in=2, k=3, p=1, c_out=2, groups=2)):
-            assert min_safe_offset_bruteforce(layer) == max(1, exhaustive(layer)), layer
+            assert lifetime_minima([layer]) == [exhaustive(layer)], layer
 
     # a full-scale dmcnn_vd middle layer: 1.5e10 MAC cycles
     BIG = LayerSpec(x_in=640, y_in=640, c_in=64, k_x=3, k_y=3, s_x=1, s_y=1,
@@ -94,14 +96,14 @@ class TestBruteForceOffset:
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
-            min_safe_offset_bruteforce(self.BIG)
+            lifetime_minima([self.BIG])
 
     def test_full_scale_layer_in_bounded_memory(self):
         # above the default cap but verifiable: the oracle's scratch is a few
         # int64 per (window, tap) read along each axis, not one per input word
         tracemalloc.start()
         try:
-            d = min_safe_offset_bruteforce(self.BIG, cycle_cap=10**11)
+            d, = lifetime_minima([self.BIG], cycle_cap=10**11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -148,7 +150,7 @@ class TestBruteForceOffset:
                           p_x=1, p_y=1, c_out=2)
         tracemalloc.start()
         try:
-            d = min_safe_offset_bruteforce(layer, cycle_cap=10**14)
+            d, = lifetime_minima([layer], cycle_cap=10**14)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -162,7 +164,7 @@ class TestBruteForceOffset:
                 verify_layer(self.ROW)
             # a batch is checked whole before any layer's reads are built
             with pytest.raises(SizeLimitError, match="50331648 .* bound of 2097152"):
-                _raw_min_safe_offsets([self.AT_BOUND, square(3), self.ROW])
+                lifetime_minima([self.AT_BOUND, square(3), self.ROW])
             with pytest.raises(SizeLimitError, match="bound of 2097152"):
                 _last_read_window(self.ROW)  # the in-arena executor's table
             peak = tracemalloc.get_traced_memory()[1]
@@ -184,7 +186,7 @@ class TestVerify:
 
     def test_forced_unsafe(self):
         layer = square(4, k=3, p=1)
-        rep = verify_layer(layer, closed_form_offset=min_safe_offset_bruteforce(layer) - 1)
+        rep = verify_layer(layer, closed_form_offset=verify_layer(layer).d_oracle - 1)
         assert rep.verdict == "UNSAFE"
 
     def test_sweep_summary_records_each_verdict(self):
@@ -292,7 +294,7 @@ class TestExecutors:
         net = NetworkSpec("tight", (square(4, k=3, p=1),))
         plan = plan_network(net)
         x, weights = seeded_test_vectors(net, seed=0)
-        bad = plan_with_offsets(net, [min_safe_offset_bruteforce(net.layers[0]) - 1],
+        bad = plan_with_offsets(net, [lifetime_minima(net.layers)[0] - 1],
                                 arena_size=plan.arena_size)
         with pytest.raises(ClobberError) as exc:
             execute_network_in_arena(net, bad, x, weights, checked=True)
@@ -416,6 +418,42 @@ class TestExecutors:
         small = plan_with_offsets(net, [0], arena_size=size)
         with pytest.raises(DimensionMismatchError, match=f"layer 1: {words} input or output"):
             execute_network_in_arena(net, small, x, weights)
+
+    # 60,000,000 input words but only 1,000 windows, far under the cycle cap
+    PROBE = LayerSpec(x_in=60_000_000, y_in=1, c_in=1, k_x=1, k_y=1, s_x=60_000, s_y=1,
+                      p_x=0, p_y=0, c_out=1)
+    # one input and one output word, but a 60,000 x 60,000 kernel of weights
+    HEAVY = LayerSpec(x_in=1, y_in=1, c_in=1, k_x=60_000, k_y=60_000, s_x=1, s_y=1,
+                      p_x=30_000, p_y=30_000, c_out=1)
+
+    def test_word_bound_refuses_before_allocating(self):
+        probe = NetworkSpec("probe", (self.PROBE,))
+        tiny = NetworkSpec("tiny", (square(2),))
+        x, weights = seeded_test_vectors(tiny, seed=0)
+        huge_arena = plan_with_offsets(tiny, [1], arena_size=2**25 + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="60000000-word buffer, above the "
+                                                     "execution bound of 33554432 words"):
+                seeded_test_vectors(probe, seed=0)
+            for run in (lambda: execute_network_reference(probe, x, weights),
+                        lambda: execute_network_in_arena(probe, plan_network(probe), x,
+                                                         weights),
+                        lambda: seeded_test_vectors(NetworkSpec("heavy", (self.HEAVY,)), 0)):
+                with pytest.raises(SizeLimitError, match="above the execution bound"):
+                    run()
+            with pytest.raises(SizeLimitError, match="33554433-word buffer"):
+                execute_network_in_arena(tiny, huge_arena, x, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_word_bound_admits_every_bundled_network(self):
+        for name in ("dlib_face", "dmcnn_vd", "dmcnn_vd_64", "mobilenet_v2",
+                     "single_identity", "yolo_lite"):
+            net = parse_network_file(bundled_network_path(name))
+            _refuse_over_word_cap(net, plan_network(net).arena_size)
 
 
 class TestFullScale:

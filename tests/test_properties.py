@@ -9,20 +9,21 @@ from actplan import (
     NetworkSpec,
     execute_network_in_arena,
     execute_network_reference,
+    lifetime_minima,
     min_offset,
-    min_safe_offset_bruteforce,
     paper_offset,
     plan_network,
     random_network,
     read_pointer_at,
     seeded_test_vectors,
+    verify_layer,
 )
 
 import random
 from unittest.mock import patch
 
 from actplan import oracle
-from actplan.oracle import _last_read_window, _raw_min_safe_offsets
+from actplan.oracle import _last_read_window
 from actplan.sweep import _SWEEP_SLICE
 from conftest import exhaustive, loop_nest_trace
 
@@ -104,7 +105,7 @@ def test_closed_form_is_never_below_the_lifetime_minimum(layer):
     # the safety core: an offset below the brute-force minimum would let the
     # output region destroy data a later window still reads; the separable
     # formula is exact, so it never spends a word more either
-    assert min_offset(layer) == min_safe_offset_bruteforce(layer)
+    assert min_offset(layer) == verify_layer(layer).d_oracle
 
 
 @given(st.lists(layers(), min_size=1, max_size=5), st.randoms(use_true_random=False))
@@ -116,9 +117,9 @@ def test_batched_offsets_equal_exhaustive_search(distinct, rng):
     want = [exhaustive(layer) for layer in distinct]
     picks = [rng.randrange(len(distinct)) for _ in range(rng.randint(1, 2 * _SWEEP_SLICE + 1))]
     batch = [distinct[i] for i in picks]
-    assert _raw_min_safe_offsets(batch) == [want[i] for i in picks]
+    assert lifetime_minima(batch) == [want[i] for i in picks]
     with patch.object(oracle, "_AXIS_READ_CAP", 64):
-        assert _raw_min_safe_offsets(batch) == [want[i] for i in picks]
+        assert lifetime_minima(batch) == [want[i] for i in picks]
 
 
 @given(layers())
@@ -174,7 +175,7 @@ def test_trace_reads_stay_inside_the_input(layer):
 @settings(max_examples=200, deadline=None)
 def test_operations_are_pure(layer):
     assert min_offset(layer) == min_offset(layer)
-    assert min_safe_offset_bruteforce(layer) == min_safe_offset_bruteforce(layer)
+    assert lifetime_minima([layer]) == lifetime_minima([layer])
     assert paper_offset(layer) == paper_offset(layer)
 
 

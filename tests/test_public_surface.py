@@ -1,11 +1,14 @@
-"""The benchmark imports only exported names, and every exported name exists."""
+"""The benchmark imports only exported names, every exported name exists, and
+no module of the package imports a sibling's private name."""
 
 import ast
 from pathlib import Path
 
 import actplan
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
+PACKAGE = ROOT / "src" / "actplan"
 
 
 def imported_from_actplan(path):
@@ -26,3 +29,16 @@ def test_benchmark_imports_are_exported():
 def test_every_exported_name_resolves():
     missing = [name for name in actplan.__all__ if not hasattr(actplan, name)]
     assert not missing
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5, PACKAGE
+    private = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "actplan"):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private
