@@ -72,7 +72,7 @@ def _cmd_verify(args) -> int:
     rows = []
     for i, layer in enumerate(net.layers):
         try:
-            rep = verify_layer(layer, cycle_cap=args.cycle_cap)
+            rep, d_paper = verify_layer(layer), paper_offset(layer)
         except SizeLimitError as exc:
             rows.append({"layer": i + 1, "verdict": "skipped", "detail": str(exc)})
             continue
@@ -81,7 +81,7 @@ def _cmd_verify(args) -> int:
             "verdict": rep.verdict,
             "d_closed_form": rep.d_closed_form,
             "d_oracle": rep.d_oracle,
-            "d_paper": paper_offset(layer),
+            "d_paper": d_paper,
         }
         if rep.verdict == "closed_form_conservative":
             row["gap"] = rep.gap
@@ -118,7 +118,9 @@ def _cmd_sweep(args) -> int:
         if ex.mismatches:
             lines.append(f"  first mismatching network: {ex.mismatches[0]}")
     print("\n".join(lines))
-    bad = summary.unsafe > 0 or (args.networks > 0 and ex.bit_exact < ex.networks)
+    bad = summary.unsafe > 0 or (args.networks > 0 and (
+        ex.bit_exact < ex.networks or ex.oracle_plan_bit_exact < ex.networks
+        or ex.tight_probe_clobbers < ex.tight_probes))
     return 1 if bad else 0
 
 
@@ -164,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed form vs. brute-force minimum, per layer")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cycle-cap", type=_int_at_least(1), default=DEFAULT_CYCLE_CAP,
-                   help="skip layers needing more MAC cycles than this")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="exhaustive layer sweep and randomized execution")

@@ -28,10 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLayerError
+from .errors import InvalidLayerError, SizeLimitError
 
 # Windows per slice in paper_offset: bounds its memory whatever the layer size.
 _PAPER_SLICE = 1 << 16
+
+# Windows in all for paper_offset, at about 40 ns each: bounds its time.
+_PAPER_WINDOWS = 4_000_000_000
+
+# Largest cycle or address paper_offset's int64 pointer model may reach: keeps
+# every sum and difference of its terms exact.
+_INT64_BOUND = 2**62
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,13 @@ def read_pointer_at(t, layer: LayerSpec):
     """
     if np.any(np.asarray(t) < 0):
         raise ValueError("cycle index must be >= 0")
+    advance, pullback = _frontier_terms(t, layer)
+    return np.maximum(0, advance - pullback)
+
+
+def _frontier_terms(t, layer: LayerSpec):
+    """The frontier's advance (x and y terms) and pullback (top padding and
+    side terms) at cycle ``t``; neither decreases as ``t`` grows."""
     window = layer.c_out * layer.block_cycles
     row = layer.x_out * window
     x_term = (t // window) * (layer.s_x * layer.c_in)
@@ -145,7 +159,7 @@ def read_pointer_at(t, layer: LayerSpec):
     top_pad = layer.p_y * layer.c_in * layer.x_in
     overshoot = layer.x_out * layer.s_x - layer.x_in
     side = _ceildiv(t, row) * max(0, overshoot * layer.s_x * layer.c_in)
-    return np.maximum(0, x_term + y_term - top_pad - side)
+    return x_term + y_term, top_pad + side
 
 
 def paper_offset(layer: LayerSpec) -> int:
@@ -156,8 +170,17 @@ def paper_offset(layer: LayerSpec) -> int:
     read frontier at every block start.  Within one window the frontier is
     constant, except at a row's first block, where it is no lower, so each
     window's largest gap is at its last block.  This is the paper's model,
-    kept for comparison; plans use :func:`min_offset`.
+    kept for comparison; plans use :func:`min_offset`.  Above ``_PAPER_WINDOWS``
+    windows, or when the model's cycles or terms would pass ``_INT64_BOUND``
+    (checked at the last cycle, where they peak), it raises
+    :class:`SizeLimitError` before allocating anything.
     """
+    if (windows := layer.x_out * layer.y_out) > _PAPER_WINDOWS:
+        raise SizeLimitError(f"{windows} windows, above paper_offset's bound of {_PAPER_WINDOWS}")
+    last_cycle = (layer.m_out - 1) * layer.block_cycles
+    if (peak := max(last_cycle, *_frontier_terms(last_cycle, layer))) > _INT64_BOUND:
+        raise SizeLimitError(f"paper_offset's pointer model reaches {peak}, above its int64 "
+                             f"bound of {_INT64_BOUND}")
     gap, step = 0, _PAPER_SLICE * layer.c_out
     for b0 in range(layer.c_out - 1, layer.m_out, step):
         last = np.arange(b0, min(b0 + step, layer.m_out), layer.c_out, dtype=np.int64)

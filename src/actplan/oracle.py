@@ -28,13 +28,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ClobberError, DimensionMismatchError, SizeLimitError
 from .model import LayerSpec, min_offset
 
-# Cap on MAC cycles, m_out * block_cycles: per layer for the oracle, summed
-# over the network's layers for the executors.
+# The executors' cap on MAC cycles, m_out * block_cycles summed over the
+# network's layers.
 DEFAULT_CYCLE_CAP = 4_000_000_000
 
 # Cap on the (window, tap) reads along either axis: at the cap the oracle's
 # scratch peaks at 80 MiB.
 _AXIS_READ_CAP = 2**21
+
+# Cap on a layer's input and output words for the oracle: each of its int64
+# terms is a difference of two products below the cap, so it stays exact.
+_INT64_BOUND = 2**62
 
 # Cap on each layer's input, output and weight words and on the arena, for
 # the executors and their test vectors: 256 MiB of int64 per buffer at the cap.
@@ -59,7 +63,11 @@ class OracleReport:
 
 
 def _axes(layer: LayerSpec):
-    """Each axis's ``(n_out, s, p, k, n_in)``, rows first; refuses over ``_AXIS_READ_CAP`` reads."""
+    """Each axis's ``(n_out, s, p, k, n_in)``, rows first; refuses over ``_AXIS_READ_CAP``
+    reads or ``_INT64_BOUND`` input or output words."""
+    if (words := max(layer.m_in, layer.m_out)) > _INT64_BOUND:
+        raise SizeLimitError(f"layer has {words} input or output words, above the int64 "
+                             f"bound of {_INT64_BOUND} for the oracle and execution")
     y_out, x_out = layer.y_out, layer.x_out
     reads = max(y_out * layer.k_y, x_out * layer.k_x)
     if reads > _AXIS_READ_CAP:
@@ -94,20 +102,20 @@ def _last_read_window(layer: LayerSpec) -> np.ndarray:
     return lrw.ravel()
 
 
-def lifetime_minima(layers, cycle_cap: int = DEFAULT_CYCLE_CAP) -> list:
+def lifetime_minima(layers, cycle_cap: int | None = None) -> list:
     """Unfloored least safe ``d >= 0`` of each layer: no write lands on a word still to be read.
 
     ``max(c_out * window - address)`` over every read of a pixel's channel 0,
     its lowest word, and zero.  Window ``oy * x_out + ox`` and address
     ``(y * x_in + x) * c_in`` split it into a row plus a column term, each the
     largest ``a * window - b * index`` over one axis's reads.  All layers are
-    checked against both caps first; then each distinct axis's reads are built
+    checked against the bounds first; then each distinct axis's reads are built
     once, for (layers x reads) matrices of at most ``_AXIS_READ_CAP`` entries.
+    A ``cycle_cap`` also refuses by MAC cycles, for the benchmark's pins only (ROADMAP item 1).
     """
     groups, terms = {}, [0] * (2 * len(layers))  # axis -> [(a, b, term slot)]
     for n, layer in enumerate(layers):
-        cycles = layer.m_out * layer.block_cycles
-        if cycles > cycle_cap:
+        if cycle_cap is not None and (cycles := layer.m_out * layer.block_cycles) > cycle_cap:
             raise SizeLimitError(
                 f"layer needs {cycles} MAC cycles, above the brute-force cap of {cycle_cap}; "
                 "use the closed-form planner for layers this large")
@@ -127,15 +135,15 @@ def lifetime_minima(layers, cycle_cap: int = DEFAULT_CYCLE_CAP) -> list:
     return [max(0, row + col) for row, col in zip(terms[::2], terms[1::2])]
 
 
-def verify_layer(layer: LayerSpec, cycle_cap: int = DEFAULT_CYCLE_CAP,
+def verify_layer(layer: LayerSpec, cycle_cap: int | None = None,
                  closed_form_offset: int | None = None) -> OracleReport:
     """Compare the closed-form offset with the brute-force minimum, floored at one word.
 
     ``closed_form_offset`` overrides the computed value, e.g. to check a
-    stored or hand-picked offset.  The closed form equals the minimum on
-    every layer without residual carry; with one it may exceed it, because
-    the oracle covers the convolution input only and the closed form also
-    keeps the output off the carry.
+    stored or hand-picked offset; ``cycle_cap`` is as in :func:`lifetime_minima`.
+    The closed form equals the minimum on every layer without residual carry;
+    with one it may exceed it, because the oracle covers the convolution input
+    only and the closed form also keeps the output off the carry.
     """
     d_closed = min_offset(layer) if closed_form_offset is None else closed_form_offset
     return OracleReport(max(1, lifetime_minima([layer], cycle_cap)[0]), d_closed)
@@ -161,8 +169,11 @@ def _refuse_over_word_cap(net, arena_size: int = 0) -> None:
 def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
     """The input as int64 and each layer's weights grouped as (groups, c_out
     per group, k_y, k_x, c_in per group) with its bias, after refusing
-    networks above the cycle or word cap and tensors of the wrong shape."""
+    networks above the cycle, axis-read or word bound and tensors of the wrong
+    shape, all before any work."""
     layers = net.layers
+    for layer in layers:
+        _axes(layer)
     cycles = sum(layer.m_out * layer.block_cycles for layer in layers)
     if cycles > cap:
         raise SizeLimitError(

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ClobberError
 from .model import LayerSpec, min_offset
 from .oracle import (
-    DEFAULT_CYCLE_CAP,
     OracleReport,
     execute_network_in_arena,
     execute_network_reference,
@@ -106,8 +105,10 @@ def sweep_layer_configs(bounds: SweepBounds = SweepBounds()):
 
 
 def run_layer_sweep(bounds: SweepBounds = SweepBounds(),
-                    cycle_cap: int = DEFAULT_CYCLE_CAP) -> SweepSummary:
-    """Verify the closed form against the oracle over the whole domain, in fixed-size batches."""
+                    cycle_cap: int | None = None) -> SweepSummary:
+    """Verify the closed form against the oracle over the whole domain, in fixed-size batches.
+
+    ``cycle_cap`` is as in :func:`lifetime_minima`: only the benchmark passes one."""
     summary, configs = SweepSummary(), sweep_layer_configs(bounds)
     while batch := list(islice(configs, _SWEEP_SLICE)):
         for layer, raw in zip(batch, lifetime_minima(batch, cycle_cap)):

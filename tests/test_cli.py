@@ -1,12 +1,14 @@
 """Command line behaviour: output, exit codes, determinism."""
 
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from actplan import LayerPlan, MemoryPlan, bundled_network_path, parse_network_file, plan_network
+from actplan import (LayerPlan, MemoryPlan, bundled_network_path, lifetime_minima,
+                     parse_network_file, plan_network)
 from actplan.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -108,12 +110,18 @@ class TestVerify:
         assert out == ("layer   1: UNSAFE (closed 1 < minimum 5, paper 5)\n"
                        "layer   2: UNSAFE (closed 1 < minimum 5, paper 5)\n")
 
-    def test_oversized_layer_gets_guidance(self, capsys):
-        code, out, _ = run_cli(capsys, "verify",
-                               str(bundled_network_path("dmcnn_vd")),
-                               "--cycle-cap", "1000000")
+    def test_oversized_layer_gets_guidance(self, capsys, tmp_path):
+        # 4.9e9 windows: the oracle checks it at once, but the paper column
+        # would take minutes, so the layer is one skipped row naming the bound
+        net = tmp_path / "wide.net"
+        net.write_text("name: wide\nlayers:\n  - {x_in: 70000, y_in: 70000, c_in: 1, "
+                       "k_x: 1, k_y: 1, s_x: 1, s_y: 1, p_x: 0, p_y: 0, c_out: 1}\n")
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", str(net))
+        assert time.perf_counter() - start < 1
         assert code == 0
-        assert "skipped" in out and "closed-form" in out
+        assert out == ("layer   1: skipped (4900000000 windows, above paper_offset's bound "
+                       "of 4000000000)\n")
 
     def test_layer_above_axis_read_bound_skipped_but_planned(self, capsys, tmp_path):
         # under the cycle cap, but 50,331,648 (window, tap) reads along x
@@ -127,6 +135,23 @@ class TestVerify:
         assert code == 0
         assert "arena            16,777,217 words" in out
 
+    def test_layer_above_int64_bound_skipped(self, capsys, tmp_path):
+        # 2**64 input words: one skipped row, not a wrapped UNSAFE verdict
+        net = tmp_path / "deep.net"
+        net.write_text(f"name: deep\nlayers:\n  - {{x_in: 4, y_in: 4, c_in: {2**60}, "
+                       "k_x: 1, k_y: 1, s_x: 1, s_y: 1, p_x: 0, p_y: 0, c_out: 1}\n")
+        code, out, _ = run_cli(capsys, "verify", str(net))
+        assert code == 0
+        assert out == ("layer   1: skipped (layer has 18446744073709551616 input or output "
+                       "words, above the int64 bound of 4611686018427387904 for the oracle "
+                       "and execution)\n")
+
+    def test_cycle_cap_is_not_a_verify_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", TINY_PAIR, "--cycle-cap", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cycle-cap 5" in capsys.readouterr().err
+
     def test_large_layer_verifies(self, capsys, tmp_path):
         net = tmp_path / "square.net"
         net.write_text("name: square\nlayers:\n  - {x_in: 4000, y_in: 4000, c_in: 1, "
@@ -135,9 +160,8 @@ class TestVerify:
         assert code == 0
         assert out == "layer   1: match (d=4001, paper 4001)\n"
 
-    def test_full_scale_dmcnn_vd_verifies_at_raised_cap(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", str(bundled_network_path("dmcnn_vd")),
-                               "--cycle-cap", "100000000000")
+    def test_full_scale_dmcnn_vd_verifies_at_default(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", str(bundled_network_path("dmcnn_vd")))
         assert code == 0
         assert out.count(": match") == 20
 
@@ -154,6 +178,23 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--max-dim", "0", "--networks", "0")
         assert code == 0
         assert "0 configurations" in out
+
+    def test_failed_minimality_witness_exits_one(self, capsys, monkeypatch):
+        # minima one word too large: lowering a layer to the true minimum
+        # does not clobber, so the witness fails on every probe
+        real = lifetime_minima
+        monkeypatch.setattr("actplan.sweep.lifetime_minima",
+                            lambda layers: [raw + 1 for raw in real(layers)])
+        code, out, _ = run_cli(capsys, "sweep", "--max-dim", "0",
+                               "--networks", "5", "--seed", "1")
+        assert code == 1
+        assert "clobber when lowered below the lifetime minimum: 0/20" in out
+
+    def test_unsafe_sweep_names_first_config(self, capsys, monkeypatch):
+        monkeypatch.setattr("actplan.sweep.min_offset", lambda layer: 1)
+        code, out, _ = run_cli(capsys, "sweep", "--max-dim", "2", "--networks", "0")
+        assert code == 1
+        assert "  first unsafe config: LayerSpec(" in out
 
     def test_sweep_deterministic(self, capsys):
         args = ("sweep", "--max-dim", "2", "--networks", "3", "--seed", "9")
@@ -214,10 +255,9 @@ class TestExec:
     ("sweep", "--networks", "-1"),
     ("sweep", "--max-pad", "-1"),
     ("exec", TINY_PAIR, "--corrupt-offset", "-3"),
-    ("verify", TINY_PAIR, "--cycle-cap", "0"),
     ("exec", TINY_PAIR, "--cycle-cap", "-5"),
 ], ids=["exec-seed", "sweep-seed", "networks", "sweep-bound", "corrupt-offset",
-        "verify-cycle-cap", "exec-cycle-cap"])
+        "exec-cycle-cap"])
 def test_bad_number_exits_two_with_usage(capsys, argv):
     # exit 1 means UNSAFE, mismatch or clobber; a bad flag is a usage error
     with pytest.raises(SystemExit) as exc:

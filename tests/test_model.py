@@ -62,7 +62,7 @@ def solo_plan(layer):
     return plan_network(NetworkSpec("solo", (layer,)))
 
 
-class TestDeriveDims:
+class TestLayerSizes:
     """The sizes a layer derives from its fields, and the fields' validation."""
 
     @pytest.mark.parametrize(

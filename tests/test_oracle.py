@@ -95,15 +95,27 @@ class TestBruteForceOffset:
                     p_x=1, p_y=1, c_out=64)
 
     def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            lifetime_minima([self.BIG])
+        # the MAC-cycle cap is opt-in: given one, the oracle refuses as it
+        # always has; by default only the per-axis read bound applies
+        cap = 4_000_000_000
+        text = ("layer needs 15099494400 MAC cycles, above the brute-force cap of 4000000000; "
+                "use the closed-form planner for layers this large")
+        with pytest.raises(SizeLimitError) as exc:
+            lifetime_minima([self.BIG], cycle_cap=cap)
+        assert str(exc.value) == text
+        dmcnn_vd = parse_network_file(bundled_network_path("dmcnn_vd"))
+        assert dmcnn_vd.layers[1] == self.BIG
+        with pytest.raises(SizeLimitError) as exc:
+            verify_layer(self.BIG, cycle_cap=cap)
+        assert str(exc.value) == text
+        assert lifetime_minima([self.BIG]) == [41_024]
 
     def test_full_scale_layer_in_bounded_memory(self):
-        # above the default cap but verifiable: the oracle's scratch is a few
-        # int64 per (window, tap) read along each axis, not one per input word
+        # the oracle's scratch is a few int64 per (window, tap) read along
+        # each axis, not one per input word
         tracemalloc.start()
         try:
-            d, = lifetime_minima([self.BIG], cycle_cap=10**11)
+            d, = lifetime_minima([self.BIG])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -134,6 +146,39 @@ class TestBruteForceOffset:
         assert d == 4001
         assert peak < 16 * 2**20
 
+    def test_paper_offset_refuses_before_allocating(self):
+        # 4.9e9 windows: within the oracle's bounds, but nearly three minutes
+        # of pointer-model steps
+        layer = LayerSpec(x_in=70_000, y_in=70_000, c_in=1, k_x=1, k_y=1, s_x=1, s_y=1,
+                          p_x=0, p_y=0, c_out=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="4900000000 windows, above paper_offset's "
+                                                     "bound of 4000000000"):
+                paper_offset(layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_int64_bound_refuses(self):
+        # 2**64 input words: the oracle's row coefficient x_in * c_in = 2**62
+        # would wrap its int64 products
+        deep = LayerSpec(x_in=4, y_in=4, c_in=2**60, k_x=1, k_y=1, s_x=1, s_y=1,
+                         p_x=0, p_y=0, c_out=1)
+        with pytest.raises(SizeLimitError, match="18446744073709551616 input or output words, "
+                                                 "above the int64 bound of 4611686018427387904"):
+            lifetime_minima([deep])
+        with pytest.raises(SizeLimitError, match="int64 bound"):
+            paper_offset(deep)
+        # three windows only, but the side pullback per row is about 1.5 * 2**63 words
+        far = LayerSpec(x_in=1, y_in=1, c_in=1, k_x=1, k_y=1, s_x=2**31, s_y=1,
+                        p_x=2**31, p_y=0, c_out=1)
+        assert verify_layer(far).verdict == "match"  # the oracle is exact here
+        with pytest.raises(SizeLimitError, match="pointer model reaches 13835058053134680064, "
+                                                 "above its int64 bound"):
+            paper_offset(far)
+
     # 5e7 MAC cycles, under the default cap, but 50,331,648 reads along x
     ROW = LayerSpec(x_in=2**24, y_in=1, c_in=1, k_x=3, k_y=1, s_x=1, s_y=1,
                     p_x=1, p_y=0, c_out=1)
@@ -150,7 +195,7 @@ class TestBruteForceOffset:
                           p_x=1, p_y=1, c_out=2)
         tracemalloc.start()
         try:
-            d, = lifetime_minima([layer], cycle_cap=10**14)
+            d, = lifetime_minima([layer])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -211,6 +256,12 @@ class TestVerify:
                 tracemalloc.stop()
             assert summary.total == sum(1 for _ in sweep_layer_configs(bounds))
             assert peak < 2 * 2**20, (bounds, peak)
+
+    def test_layer_sweep_cycle_cap_is_opt_in(self):
+        bounds = SweepBounds(max_dim=3)
+        assert run_layer_sweep(bounds, cycle_cap=4_000_000_000) == run_layer_sweep(bounds)
+        with pytest.raises(SizeLimitError, match="above the brute-force cap of 5;"):
+            run_layer_sweep(bounds, cycle_cap=5)
 
     def test_read_frontier_matches_future_window_needs(self):
         # at t=45 the model's frontier (1) equals the lowest address any
@@ -354,6 +405,25 @@ class TestExecutors:
             execute_network_reference(net, x, identity_weights(net))
         with pytest.raises(SizeLimitError):
             execute_network_in_arena(net, plan_network(net), x, identity_weights(net))
+
+    def test_axis_read_bound_refuses_before_any_work(self):
+        # layer 2 reads 2,199,998 times along x, above the 2**21 bound: both
+        # executors refuse before the arena or any layer's output exists
+        first = LayerSpec(x_in=1_100_000, y_in=1, c_in=2, k_x=1, k_y=1, s_x=1, s_y=1,
+                          p_x=0, p_y=0, c_out=1)
+        net = NetworkSpec("probe", (first, replace(first, c_in=1, k_x=2)))
+        plan = plan_network(net)
+        x, weights = seeded_test_vectors(net, seed=0)
+        for run in (lambda: execute_network_reference(net, x, weights),
+                    lambda: execute_network_in_arena(net, plan, x, weights, checked=True)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeLimitError, match="2199998 .* bound of 2097152"):
+                    run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     def test_matches_window_by_window_loop(self):
         # random chains, half of them with residual carries, each run at its
