@@ -7,6 +7,8 @@ lifetime oracle, and prove plans by bit-exact execution inside a single
 flat arena.
 """
 
+from importlib import import_module
+
 from .errors import (
     ActplanError,
     ChainMismatchError,
@@ -16,21 +18,8 @@ from .errors import (
     NetworkFileError,
     SizeLimitError,
 )
-from .model import (
-    LayerSpec,
-    min_offset,
-    paper_offset,
-    read_pointer_at,
-)
+from .model import LayerSpec, min_offset
 from .netfile import bundled_network_path, parse_network_file, parse_network_text
-from .oracle import (
-    OracleReport,
-    execute_network_in_arena,
-    execute_network_reference,
-    lifetime_minima,
-    seeded_test_vectors,
-    verify_layer,
-)
 from .planner import (
     LayerPlan,
     MemoryPlan,
@@ -41,15 +30,28 @@ from .planner import (
     tightest_layer,
 )
 from .report import plan_to_json, render_memory_map, render_plan_text
-from .sweep import (
-    ExecSummary,
-    SweepBounds,
-    SweepSummary,
-    random_network,
-    run_exec_sweep,
-    run_layer_sweep,
-    sweep_layer_configs,
-)
+
+# Where each name of a module that computes with numpy lives.  They are
+# imported on first use, so that ``import actplan`` and planning do not load
+# numpy.
+_LAZY = {
+    "paper_offset": "pointer", "read_pointer_at": "pointer",
+    "OracleReport": "oracle", "lifetime_minima": "oracle", "verify_layer": "oracle",
+    "execute_network_reference": "oracle", "execute_network_in_arena": "oracle",
+    "seeded_test_vectors": "oracle",
+    "SweepBounds": "sweep", "SweepSummary": "sweep", "ExecSummary": "sweep",
+    "sweep_layer_configs": "sweep", "run_layer_sweep": "sweep", "random_network": "sweep",
+    "run_exec_sweep": "sweep",
+}
+
+
+def __getattr__(name):
+    """Import a name of ``_LAZY`` from its module on first use and keep it here."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return globals()[name]
+
 
 __version__ = "0.1.0"
 

@@ -18,21 +18,13 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import ActplanError, ClobberError, SizeLimitError
 from .netfile import parse_network_file
-from .oracle import (
-    DEFAULT_CYCLE_CAP,
-    execute_network_in_arena,
-    execute_network_reference,
-    seeded_test_vectors,
-    verify_layer,
-)
-from .model import paper_offset
 from .planner import plan_network, plan_with_offsets, tightest_layer
 from .report import plan_to_json, render_plan_text
-from .sweep import SweepBounds, run_exec_sweep, run_layer_sweep
+
+# ``verify``, ``sweep`` and ``exec`` import the modules that compute with
+# numpy when they run, so that ``plan`` does not load numpy.
 
 
 def _int_at_least(low: int):
@@ -57,10 +49,10 @@ def _cmd_plan(args) -> int:
 # what ``verify`` prints after each layer's number, by verdict
 _VERDICT_TEXT = {
     "skipped": "skipped ({detail})",
-    "match": "match (d={d_closed_form}, paper {d_paper})",
+    "match": "match (d={d_closed_form}, paper {paper})",
     "closed_form_conservative": "conservative (closed {d_closed_form}, minimum {d_oracle}, "
-                                "gap {gap}, paper {d_paper})",
-    "UNSAFE": "UNSAFE (closed {d_closed_form} < minimum {d_oracle}, paper {d_paper})",
+                                "gap {gap}, paper {paper})",
+    "UNSAFE": "UNSAFE (closed {d_closed_form} < minimum {d_oracle}, paper {paper})",
 }
 
 # the SweepBounds fields that ``sweep`` takes as flags
@@ -68,11 +60,14 @@ _BOUND_FLAGS = ("max_dim", "max_kernel", "max_stride", "max_pad", "max_channels"
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import verify_layer
+    from .pointer import paper_offset
+
     net = parse_network_file(args.file)
     rows = []
     for i, layer in enumerate(net.layers):
         try:
-            rep, d_paper = verify_layer(layer), paper_offset(layer)
+            rep = verify_layer(layer)
         except SizeLimitError as exc:
             rows.append({"layer": i + 1, "verdict": "skipped", "detail": str(exc)})
             continue
@@ -81,21 +76,32 @@ def _cmd_verify(args) -> int:
             "verdict": rep.verdict,
             "d_closed_form": rep.d_closed_form,
             "d_oracle": rep.d_oracle,
-            "d_paper": d_paper,
+            "d_paper": None,
         }
         if rep.verdict == "closed_form_conservative":
             row["gap"] = rep.gap
+        # the paper column has bounds of its own; past them the oracle's
+        # verdict stands, and the row says why the paper column is empty
+        try:
+            row["d_paper"] = paper_offset(layer)
+        except SizeLimitError as exc:
+            row["detail"] = str(exc)
         rows.append(row)
     if args.format == "json":
         print(json.dumps({"name": net.name, "layers": rows}, indent=2))
     else:
         for row in rows:
-            print(f"layer {row['layer']:>3}: " + _VERDICT_TEXT[row["verdict"]].format(**row))
+            paper = f"skipped: {row['detail']}" if "detail" in row else row["d_paper"]
+            print(f"layer {row['layer']:>3}: "
+                  + _VERDICT_TEXT[row["verdict"]].format(paper=paper, **row))
     return 1 if any(row["verdict"] == "UNSAFE" for row in rows) else 0
 
 
 def _cmd_sweep(args) -> int:
-    summary = run_layer_sweep(SweepBounds(**{name: getattr(args, name) for name in _BOUND_FLAGS}))
+    from .sweep import SweepBounds, run_exec_sweep, run_layer_sweep
+
+    summary = run_layer_sweep(SweepBounds(**{
+        name: value for name in _BOUND_FLAGS if (value := getattr(args, name)) is not None}))
     lines = [
         f"layer sweep: {summary.total} configurations",
         f"  match         {summary.match}",
@@ -125,6 +131,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_exec(args) -> int:
+    import numpy as np
+
+    from .oracle import (
+        DEFAULT_CYCLE_CAP,
+        execute_network_in_arena,
+        execute_network_reference,
+        seeded_test_vectors,
+    )
+
+    cycle_cap = DEFAULT_CYCLE_CAP if args.cycle_cap is None else args.cycle_cap
     net = parse_network_file(args.file)
     plan = plan_network(net)
     if args.corrupt_offset:
@@ -135,10 +151,10 @@ def _cmd_exec(args) -> int:
               f"-> {offsets[tightest]}")
         plan = plan_with_offsets(net, offsets, arena_size=plan.arena_size)
     x, weights = seeded_test_vectors(net, seed=args.seed)
-    ref = execute_network_reference(net, x, weights, cycle_cap=args.cycle_cap)
+    ref = execute_network_reference(net, x, weights, cycle_cap=cycle_cap)
     try:
         got = execute_network_in_arena(net, plan, x, weights, checked=args.checked,
-                                       cycle_cap=args.cycle_cap)
+                                       cycle_cap=cycle_cap)
     except ClobberError as exc:
         print(f"CLOBBER: {exc}")
         return 1
@@ -169,10 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="exhaustive layer sweep and randomized execution")
-    bounds = SweepBounds()
     for name in _BOUND_FLAGS:
-        p.add_argument("--" + name.replace("_", "-"), type=_int_at_least(0),
-                       default=getattr(bounds, name))
+        # None falls back to the SweepBounds default
+        p.add_argument("--" + name.replace("_", "-"), type=_int_at_least(0))
     p.add_argument("--networks", type=_int_at_least(0), default=100,
                    help="number of seeded random networks to execute (0 disables)")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -184,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checked", action="store_true",
                    help="stop at the first early write, onto a word still due to be read, "
                         "and report it")
-    p.add_argument("--cycle-cap", type=_int_at_least(1), default=DEFAULT_CYCLE_CAP,
+    p.add_argument("--cycle-cap", type=_int_at_least(1),  # None: DEFAULT_CYCLE_CAP
                    help="refuse networks needing more MAC cycles than this")
     p.add_argument("--corrupt-offset", type=_int_at_least(0), default=0, metavar="N",
                    help="lower the tightest layer's offset by N before executing")

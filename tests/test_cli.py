@@ -112,16 +112,21 @@ class TestVerify:
 
     def test_oversized_layer_gets_guidance(self, capsys, tmp_path):
         # 4.9e9 windows: the oracle checks it at once, but the paper column
-        # would take minutes, so the layer is one skipped row naming the bound
+        # would take minutes, so the row keeps the oracle's verdict and names
+        # the paper column's bound in place of its offset
         net = tmp_path / "wide.net"
         net.write_text("name: wide\nlayers:\n  - {x_in: 70000, y_in: 70000, c_in: 1, "
                        "k_x: 1, k_y: 1, s_x: 1, s_y: 1, p_x: 0, p_y: 0, c_out: 1}\n")
+        refusal = "4900000000 windows, above paper_offset's bound of 4000000000"
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "verify", str(net))
+        json_code, json_out, _ = run_cli(capsys, "verify", str(net), "--format", "json")
         assert time.perf_counter() - start < 1
-        assert code == 0
-        assert out == ("layer   1: skipped (4900000000 windows, above paper_offset's bound "
-                       "of 4000000000)\n")
+        assert (code, json_code) == (0, 0)
+        assert out == f"layer   1: match (d=1, paper skipped: {refusal})\n"
+        assert json.loads(json_out)["layers"] == [
+            {"layer": 1, "verdict": "match", "d_closed_form": 1, "d_oracle": 1,
+             "d_paper": None, "detail": refusal}]
 
     def test_layer_above_axis_read_bound_skipped_but_planned(self, capsys, tmp_path):
         # under the cycle cap, but 50,331,648 (window, tap) reads along x
