@@ -55,9 +55,6 @@ _VERDICT_TEXT = {
     "UNSAFE": "UNSAFE (closed {d_closed_form} < minimum {d_oracle}, paper {paper})",
 }
 
-# the SweepBounds fields that ``sweep`` takes as flags
-_BOUND_FLAGS = ("max_dim", "max_kernel", "max_stride", "max_pad", "max_channels")
-
 
 def _cmd_verify(args) -> int:
     from .oracle import verify_layer
@@ -98,10 +95,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import SweepBounds, run_exec_sweep, run_layer_sweep
+    from .sweep import run_exec_sweep, run_layer_sweep
 
-    summary = run_layer_sweep(SweepBounds(**{
-        name: value for name in _BOUND_FLAGS if (value := getattr(args, name)) is not None}))
+    summary = run_layer_sweep()
+    ex = run_exec_sweep(seed=args.seed)
     lines = [
         f"layer sweep: {summary.total} configurations",
         f"  match         {summary.match}",
@@ -112,21 +109,19 @@ def _cmd_sweep(args) -> int:
         lines.append(f"  first unsafe config: {summary.first_unsafe}")
     elif summary.first_conservative is not None:
         lines.append(f"  first conservative config: {summary.first_conservative}")
-    if args.networks > 0:
-        ex = run_exec_sweep(seed=args.seed, count=args.networks)
-        lines += [
-            f"execution sweep: {ex.networks} seeded networks (seed {args.seed})",
-            f"  bit-exact in-arena           {ex.bit_exact}/{ex.networks}",
-            f"  bit-exact at oracle offsets  {ex.oracle_plan_bit_exact}/{ex.networks}",
-            f"  clobber when lowered below the lifetime minimum: "
-            f"{ex.tight_probe_clobbers}/{ex.tight_probes}",
-        ]
-        if ex.mismatches:
-            lines.append(f"  first mismatching network: {ex.mismatches[0]}")
+    lines += [
+        f"execution sweep: {ex.networks} seeded networks (seed {args.seed})",
+        f"  bit-exact in-arena           {ex.bit_exact}/{ex.networks}",
+        f"  bit-exact at oracle offsets  {ex.oracle_plan_bit_exact}/{ex.networks}",
+        f"  clobber when lowered below the lifetime minimum: "
+        f"{ex.tight_probe_clobbers}/{ex.tight_probes}",
+    ]
+    if ex.mismatches:
+        lines.append(f"  first mismatching network: {ex.mismatches[0]}")
     print("\n".join(lines))
-    bad = summary.unsafe > 0 or (args.networks > 0 and (
-        ex.bit_exact < ex.networks or ex.oracle_plan_bit_exact < ex.networks
-        or ex.tight_probe_clobbers < ex.tight_probes))
+    bad = (summary.unsafe > 0 or ex.bit_exact < ex.networks
+           or ex.oracle_plan_bit_exact < ex.networks
+           or ex.tight_probe_clobbers < ex.tight_probes)
     return 1 if bad else 0
 
 
@@ -185,11 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="exhaustive layer sweep and randomized execution")
-    for name in _BOUND_FLAGS:
-        # None falls back to the SweepBounds default
-        p.add_argument("--" + name.replace("_", "-"), type=_int_at_least(0))
-    p.add_argument("--networks", type=_int_at_least(0), default=100,
-                   help="number of seeded random networks to execute (0 disables)")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_sweep)
 
@@ -214,7 +204,3 @@ def main(argv=None) -> int:
     except ActplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

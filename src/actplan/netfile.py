@@ -33,15 +33,32 @@ def parse_network_file(path) -> NetworkSpec:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise NetworkFileError(str(exc), location=str(path)) from exc
     return parse_network_text(text, source=str(path))
+
+
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, refusing a key repeated within one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        # a merge key's entries may be overridden, so only stated keys count
+        stated = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in stated:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
 
 
 def parse_network_text(text: str, source: str = "<string>") -> NetworkSpec:
     """Parse network file content (YAML; JSON is a YAML subset and accepted)."""
     try:
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f"{source}: line {mark.line + 1}" if mark else source
@@ -54,7 +71,8 @@ def _build(doc, source: str) -> NetworkSpec:
         raise NetworkFileError("top level must be a mapping", location=source)
     unknown = set(doc) - {"name", "layers"}
     if unknown:
-        raise NetworkFileError(f"unknown top-level keys {sorted(unknown)}", location=source)
+        raise NetworkFileError(f"unknown top-level keys {sorted(unknown, key=str)}",
+                               location=source)
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise NetworkFileError("missing or empty 'name'", location=source)
@@ -69,7 +87,7 @@ def _build(doc, source: str) -> NetworkSpec:
             raise NetworkFileError("layer entry must be a mapping", location=where)
         bad = set(entry) - _ALLOWED
         if bad:
-            raise NetworkFileError(f"unknown keys {sorted(bad)}", location=where)
+            raise NetworkFileError(f"unknown keys {sorted(bad, key=str)}", location=where)
         missing = [k for k in _REQUIRED if k not in entry]
         if missing:
             raise NetworkFileError(f"missing required key '{missing[0]}'", location=where)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from actplan import (LayerPlan, MemoryPlan, bundled_network_path, lifetime_minima,
-                     parse_network_file, plan_network)
+from actplan import (LayerPlan, MemoryPlan, SweepBounds, bundled_network_path,
+                     lifetime_minima, parse_network_file, plan_network, run_exec_sweep,
+                     run_layer_sweep)
 from actplan.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -171,18 +172,21 @@ class TestVerify:
         assert out.count(": match") == 20
 
 
+def shrink_sweep(monkeypatch, max_dim, networks):
+    """Make ``sweep`` check images up to ``max_dim`` and ``networks`` networks."""
+    monkeypatch.setattr("actplan.sweep.run_layer_sweep",
+                        lambda: run_layer_sweep(SweepBounds(max_dim=max_dim)))
+    monkeypatch.setattr("actplan.sweep.run_exec_sweep",
+                        lambda seed: run_exec_sweep(seed=seed, count=networks))
+
+
 class TestSweep:
-    def test_small_sweep_reports_no_unsafe(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--max-dim", "3",
-                               "--networks", "5", "--seed", "1")
+    def test_small_sweep_reports_no_unsafe(self, capsys, monkeypatch):
+        shrink_sweep(monkeypatch, max_dim=3, networks=5)
+        code, out, _ = run_cli(capsys, "sweep", "--seed", "1")
         assert code == 0
         assert "UNSAFE        0" in out
         assert "bit-exact in-arena           5/5" in out
-
-    def test_empty_bounds_empty_summary(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--max-dim", "0", "--networks", "0")
-        assert code == 0
-        assert "0 configurations" in out
 
     def test_failed_minimality_witness_exits_one(self, capsys, monkeypatch):
         # minima one word too large: lowering a layer to the true minimum
@@ -190,22 +194,33 @@ class TestSweep:
         real = lifetime_minima
         monkeypatch.setattr("actplan.sweep.lifetime_minima",
                             lambda layers: [raw + 1 for raw in real(layers)])
-        code, out, _ = run_cli(capsys, "sweep", "--max-dim", "0",
-                               "--networks", "5", "--seed", "1")
+        shrink_sweep(monkeypatch, max_dim=0, networks=5)
+        code, out, _ = run_cli(capsys, "sweep", "--seed", "1")
         assert code == 1
         assert "clobber when lowered below the lifetime minimum: 0/20" in out
 
     def test_unsafe_sweep_names_first_config(self, capsys, monkeypatch):
         monkeypatch.setattr("actplan.sweep.min_offset", lambda layer: 1)
-        code, out, _ = run_cli(capsys, "sweep", "--max-dim", "2", "--networks", "0")
+        shrink_sweep(monkeypatch, max_dim=2, networks=0)
+        code, out, _ = run_cli(capsys, "sweep")
         assert code == 1
         assert "  first unsafe config: LayerSpec(" in out
 
-    def test_sweep_deterministic(self, capsys):
-        args = ("sweep", "--max-dim", "2", "--networks", "3", "--seed", "9")
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args)
+    def test_sweep_deterministic(self, capsys, monkeypatch):
+        shrink_sweep(monkeypatch, max_dim=2, networks=3)
+        _, out1, _ = run_cli(capsys, "sweep", "--seed", "9")
+        _, out2, _ = run_cli(capsys, "sweep", "--seed", "9")
         assert out1 == out2
+
+    @pytest.mark.parametrize("flag", ["--max-dim", "--max-kernel", "--max-stride",
+                                      "--max-pad", "--max-channels", "--networks"])
+    def test_domain_flags_are_usage_errors(self, capsys, flag):
+        # the sweep checks the one domain README states; only --seed is taken
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", flag, "3"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: actplan ") and f"unrecognized arguments: {flag} 3" in err
 
 
 class TestExec:
@@ -257,12 +272,9 @@ class TestExec:
 @pytest.mark.parametrize("argv", [
     ("exec", TINY_PAIR, "--seed", "-1"),
     ("sweep", "--seed", "-1"),
-    ("sweep", "--networks", "-1"),
-    ("sweep", "--max-pad", "-1"),
     ("exec", TINY_PAIR, "--corrupt-offset", "-3"),
     ("exec", TINY_PAIR, "--cycle-cap", "-5"),
-], ids=["exec-seed", "sweep-seed", "networks", "sweep-bound", "corrupt-offset",
-        "exec-cycle-cap"])
+], ids=["exec-seed", "sweep-seed", "corrupt-offset", "exec-cycle-cap"])
 def test_bad_number_exits_two_with_usage(capsys, argv):
     # exit 1 means UNSAFE, mismatch or clobber; a bad flag is a usage error
     with pytest.raises(SystemExit) as exc:

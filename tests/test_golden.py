@@ -1,7 +1,7 @@
 """Printed command output, pinned byte for byte.
 
 ``plan`` and ``verify`` run on every bundled network, ``exec`` on every test
-fixture and ``sweep`` once at a small size.  ``tests/golden/<key>.txt``
+fixture and ``sweep`` once, as README runs it.  ``tests/golden/<key>.txt``
 holds the stdout of one command and ``tests/golden/exit_codes.json`` its
 exit code.  After an intended change to any of these outputs, regenerate
 them with ``PYTHONPATH=src python tests/test_golden.py`` and say so in
@@ -39,7 +39,7 @@ COMMANDS = {
        for net in NETWORKS for case, (command, *options) in CASES.items()},
     **{f"{path.stem}.{case}": ("exec", str(path), *options)
        for path in sorted(FIXTURES.glob("*.net")) for case, options in EXEC_CASES.items()},
-    "sweep": ("sweep", "--max-dim", "3", "--networks", "5", "--seed", "1"),
+    "sweep": ("sweep",),
 }
 
 

@@ -58,6 +58,16 @@ layers:
 """
             )
 
+    def test_merge_key_entries_may_be_overridden(self):
+        # a key stated once beside a merge key is not a duplicate
+        net = parse_network_text(
+            "name: m\nlayers:\n"
+            "  - &conv {x_in: 4, y_in: 4, c_in: 1, k_x: 3, k_y: 3, s_x: 1, s_y: 1, "
+            "p_x: 1, p_y: 1, c_out: 2}\n"
+            "  - {<<: *conv, c_in: 2, c_out: 3}\n"
+        )
+        assert (net.layers[1].c_in, net.layers[1].c_out) == (2, 3)
+
     def test_json_accepted(self):
         net = parse_network_text(
             '{"name": "j", "layers": [{"x_in": 2, "y_in": 2, "c_in": 1, "k_x": 1, '
@@ -110,8 +120,14 @@ class TestDiagnostics:
         (MINIMAL + "  - 7\n", r"layers\[1\]: layer entry must be a mapping"),
         (MINIMAL.replace("name: one", "name: one\npacking: 1"),
          r"unknown top-level keys \['packing'\]"),
+        (MINIMAL + "1: 2\nfoo: 3\n", r"unknown top-level keys \[1, 'foo'\]"),
+        (MINIMAL.replace("c_out: 1}", "c_out: 1, 1: 2, foo: 3}"),
+         r"layers\[0\]: unknown keys \[1, 'foo'\]"),
+        (MINIMAL.replace("c_out: 1}", "c_out: 1, c_out: 3}"),
+         "line 4: duplicate key 'c_out'"),
     ], ids=["not_mapping", "unknown_key", "no_name", "empty_layers", "layers_not_list",
-            "layer_not_mapping", "packing_key"])
+            "layer_not_mapping", "packing_key", "mixed_unknown_keys",
+            "mixed_unknown_layer_keys", "duplicate_key"])
     def test_malformed_document_located(self, text, message):
         with pytest.raises(NetworkFileError, match=f"^<string>: {message}$"):
             parse_network_text(text)
@@ -119,6 +135,13 @@ class TestDiagnostics:
     def test_missing_file(self):
         with pytest.raises(NetworkFileError):
             parse_network_file(FIXTURES / "does_not_exist.net")
+
+    def test_non_utf8_file_located(self, tmp_path):
+        path = tmp_path / "latin1.net"
+        path.write_bytes(MINIMAL.replace("name: one", "name: caf\xe9").encode("latin-1"))
+        with pytest.raises(NetworkFileError,
+                           match=r"latin1\.net: 'utf-8' codec can't decode byte 0xe9"):
+            parse_network_file(path)
 
 
 class TestBundled:
