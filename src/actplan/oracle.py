@@ -152,8 +152,9 @@ def verify_layer(layer: LayerSpec, cycle_cap: int | None = None,
 # ---------------------------------------------------------------------------
 # Execution
 
-# Words gathered and written per batch of windows: bounds the in-arena
-# executor's scratch memory whatever the layer size.
+# Words gathered and written per batch of windows: with the band of input
+# rows a batch reads (its windows' columns when it lies in one output row,
+# else whole rows), bounds the in-arena executor's scratch memory.
 _BATCH_WORDS = 1 << 15
 
 
@@ -210,7 +211,9 @@ def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
 
 def _conv_layer(layer: LayerSpec, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain padded integer convolution (identity activation)."""
-    padded = np.pad(x, ((layer.p_y, layer.p_y), (layer.p_x, layer.p_x), (0, 0)))
+    padded = np.zeros((layer.y_in + 2 * layer.p_y, layer.x_in + 2 * layer.p_x, layer.c_in),
+                      dtype=np.int64)
+    padded[layer.p_y:layer.p_y + layer.y_in, layer.p_x:layer.p_x + layer.x_in] = x
     win = sliding_window_view(padded, (layer.k_y, layer.k_x), axis=(0, 1))
     win = win[::layer.s_y, ::layer.s_x].reshape(
         layer.y_out, layer.x_out, layer.groups, -1, layer.k_y, layer.k_x)
@@ -258,27 +261,38 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
             raise DimensionMismatchError(
                 f"layer {lp.index + 1}: {max(lp.m_in, lp.m_out)} input or output words "
                 f"exceed the {size}-word arena")
-    # load and unload by at most two contiguous copies, split where the run wraps
     arena = np.zeros(size, dtype=np.int64)
-    base = plan.layer_plans[0].input_base
-    arena[base:base + x.size] = x.reshape(-1)[:size - base]
-    arena[:max(0, base + x.size - size)] = x.reshape(-1)[size - base:]
+    _write_span(arena, plan.layer_plans[0].input_base, x.reshape(-1))
     for layer, (w, b), lp in zip(net.layers, grouped, plan.layer_plans):
         _run_layer_in_arena(layer, w, b, lp, arena, checked)
     last = net.layers[-1]
-    base = plan.layer_plans[-1].output_base
-    out = np.concatenate((arena[base:base + last.m_out], arena[:max(0, base + last.m_out - size)]))
-    return out.reshape(last.y_out, last.x_out, last.c_out)
+    out = _read_span(arena, plan.layer_plans[-1].output_base, last.m_out)
+    # an unwrapped read is a view: copy it so that the arena is freed
+    return (out.copy() if out.base is arena else out).reshape(last.y_out, last.x_out, last.c_out)
+
+
+def _read_span(arena, start, n):
+    """Arena words ``start .. start + n - 1`` modulo its size, from at most two
+    slices split where the run wraps; a view when it does not wrap."""
+    start %= arena.size
+    head = arena[start:start + n]
+    return head if head.size == n else np.concatenate((head, arena[:n - head.size]))
+
+
+def _write_span(arena, start, values) -> None:
+    """Store ``values`` at arena words ``start, start + 1, ...`` modulo its
+    size, by at most two slice assignments."""
+    start %= arena.size
+    head = min(values.size, arena.size - start)
+    arena[start:start + head] = values[:head]
+    arena[:values.size - head] = values[head:]
 
 
 def _run_layer_in_arena(layer, w, b, lp, arena, checked) -> None:
     size, c_out = arena.size, layer.c_out
     windows = layer.x_out * layer.y_out
     lrw = _last_read_window(layer)
-    # a window's tap addresses relative to its top-left input word
-    taps = ((np.arange(layer.k_y)[:, None] * layer.x_in + np.arange(layer.k_x))[..., None]
-            * layer.c_in + np.arange(layer.c_in))
-    step = max(1, _BATCH_WORDS // (taps.size + c_out))
+    step = max(1, _BATCH_WORDS // (layer.k_y * layer.k_x * layer.c_in + c_out))
     for c0 in range(0, windows, step):
         c1 = min(c0 + step, windows)
         k = np.arange(c0 * c_out, c1 * c_out)
@@ -298,30 +312,41 @@ def _run_layer_in_arena(layer, w, b, lp, arena, checked) -> None:
         w0 = c0
         for w1 in [*(k[early] // c_out + 1).tolist(), c1]:
             if w1 > w0:
-                _run_windows(layer, w, b, lp, arena, taps, w0, w1)
+                _run_windows(layer, w, b, lp, arena, w0, w1)
                 w0 = w1
 
 
-def _run_windows(layer, w, b, lp, arena, taps, w0, w1) -> None:
-    """Windows ``w0 .. w1 - 1``: one gather, one contraction, one scatter.
+def _run_windows(layer, w, b, lp, arena, w0, w1) -> None:
+    """Windows ``w0 .. w1 - 1``: whole input rows in, one contraction, one span out.
 
-    Valid when none of these windows but the last writes early: then no
-    window in the batch reads a word an earlier one of them wrote.
+    The input rows these windows cover are read from at most two arena
+    slices, split where they wrap, into a zero-padded band, and each window
+    is a (k_y, k_x, c_in) block of a strided view of that band.  A batch
+    within one output row keeps only the columns its windows cover.  Valid
+    when none of these windows but the last writes early: then no window in
+    the batch reads a word an earlier one of them wrote.
     """
+    x_out, c_in = layer.x_out, layer.c_in
+    oy0, oy1 = w0 // x_out, (w1 - 1) // x_out + 1
+    ox0, ox1 = (w0 % x_out, (w1 - 1) % x_out + 1) if oy1 - oy0 == 1 else (0, x_out)
+    # input row and column of band[0, 0], negative inside the top and left padding
+    top, left = oy0 * layer.s_y - layer.p_y, ox0 * layer.s_x - layer.p_x
+    band = np.zeros(((oy1 - oy0 - 1) * layer.s_y + layer.k_y,
+                     (ox1 - ox0 - 1) * layer.s_x + layer.k_x, c_in), dtype=np.int64)
+    r0, r1 = max(top, 0), min(top + band.shape[0], layer.y_in)
+    c0, c1 = max(left, 0), min(left + band.shape[1], layer.x_in)
+    if r1 > r0 and c1 > c0:  # with padding >= the kernel a batch may read no input
+        row = layer.x_in * c_in
+        rows = _read_span(arena, lp.input_base + r0 * row, (r1 - r0) * row)
+        band[r0 - top:r1 - top, c0 - left:c1 - left] = rows.reshape(r1 - r0, -1, c_in)[:, c0:c1]
+    sy, sx, sc = band.strides
+    view = np.ndarray((oy1 - oy0, ox1 - ox0, layer.k_y, layer.k_x, c_in), np.int64, band, 0,
+                      (sy * layer.s_y, sx * layer.s_x, sy, sx, sc))
     n = np.arange(w0, w1)
-    y0 = n // layer.x_out * layer.s_y - layer.p_y
-    x0 = n % layer.x_out * layer.s_x - layer.p_x
-    ys = y0[:, None] + np.arange(layer.k_y)
-    xs = x0[:, None] + np.arange(layer.k_x)
-    inside = (((ys >= 0) & (ys < layer.y_in))[:, :, None]
-              & ((xs >= 0) & (xs < layer.x_in))[:, None, :])
-    origin = lp.input_base + (y0 * layer.x_in + x0) * layer.c_in
-    patch = arena[(origin[:, None, None, None] + taps) % arena.size]
-    patch *= inside[..., None]  # padded taps read nothing
-    patch = patch.reshape(n.size, layer.k_y, layer.k_x, layer.groups, -1)
+    patch = view[n // x_out - oy0, n % x_out - ox0].reshape(n.size, layer.k_y, layer.k_x,
+                                                            layer.groups, -1)
     out = np.einsum("nijgc,goijc->ngo", patch, w).reshape(n.size, layer.c_out) + b
-    k = np.arange(w0 * layer.c_out, w1 * layer.c_out)
-    arena[(lp.output_base + k) % arena.size] = out.reshape(-1)
+    _write_span(arena, lp.output_base + w0 * layer.c_out, out.reshape(-1))
 
 
 def seeded_test_vectors(net, seed: int):

@@ -284,6 +284,25 @@ def identity_weights(net):
     return weights
 
 
+def wide_chain(rng: random.Random) -> NetworkSpec:
+    """A seeded random chain of 2..3 layers with edges 7..9 in, kernels up to
+    5, strides up to 3, padding up to the kernel and some grouped layers."""
+    x, y, c = rng.randint(7, 9), rng.randint(7, 9), rng.randint(1, 3)
+    layers = []
+    for _ in range(rng.randint(2, 3)):
+        while True:
+            k, s = rng.randint(1, 5), rng.randint(1, 3)
+            p = rng.randint(0, k)
+            if k <= min(x, y) + 2 * p:
+                break
+        c_out = rng.randint(1, 3)
+        groups = c if c > 1 and c_out % c == 0 and rng.random() < 0.5 else 1
+        layers.append(LayerSpec(x_in=x, y_in=y, c_in=c, k_x=k, k_y=k, s_x=s, s_y=s,
+                                p_x=p, p_y=p, c_out=c_out, groups=groups))
+        x, y, c = layers[-1].x_out, layers[-1].y_out, c_out
+    return NetworkSpec(f"wide-{len(layers)}", tuple(layers))
+
+
 class TestExecutors:
     def test_identity_layer_passes_input_through(self):
         net = NetworkSpec("id", (square(4),))
@@ -425,16 +444,23 @@ class TestExecutors:
                 tracemalloc.stop()
             assert peak < 2**20
 
-    def test_matches_window_by_window_loop(self):
+    @pytest.mark.parametrize("chain,seeds,batch_words,min_clobbers", [
+        (random_network, 60, None, 100),
+        (wide_chain, 30, 48, 50),  # batches start and end mid-row and span rows
+    ], ids=["random-networks", "batch-edges"])
+    def test_matches_window_by_window_loop(self, monkeypatch, chain, seeds, batch_words,
+                                           min_clobbers):
         # random chains, half of them with residual carries, each run at its
         # plan and at three sets of offsets lowered by random amounts, the
         # last inside an arena shrunk to the largest input or output: checked
         # runs clobber at the same (layer, block, address, window, last
         # reader) as the loop, and unchecked runs give the same words
+        if batch_words:
+            monkeypatch.setattr("actplan.oracle._BATCH_WORDS", batch_words)
         clobbers = 0
-        for seed in range(60):
+        for seed in range(seeds):
             rng = random.Random(seed)
-            net = random_network(rng)
+            net = chain(rng)
             if seed % 2:
                 net = NetworkSpec(net.name, tuple(
                     replace(layer, residual_carry_words=rng.randint(0, 4))
@@ -466,7 +492,7 @@ class TestExecutors:
                 assert got == want, (seed, offsets, size)
                 assert np.array_equal(execute_network_in_arena(net, p, x, weights),
                                       loop_nest_exec(net, p, x, weights)), (seed, offsets, size)
-        assert clobbers > 100
+        assert clobbers > min_clobbers
 
     def test_plan_for_another_network_refused(self):
         # the plan of a network's 2-layer prefix would run 2 of its 4 layers
