@@ -171,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="arena plan and savings report for a network file")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--ascii-map", action="store_true", help="append a per-layer memory map")
+    p.add_argument("--ascii-map", action="store_true",
+                   help="append a per-layer memory map to the text report")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("verify", help="closed form vs. brute-force minimum, per layer")
@@ -198,7 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "plan" and args.format == "json" and args.ascii_map:
+        # the map is drawn only in the text report
+        parser.error("argument --ascii-map: not allowed with argument --format json")
     try:
         return args.func(args)
     except ActplanError as exc:

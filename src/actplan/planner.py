@@ -108,21 +108,26 @@ def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
         )
     if any(d < 0 for d in offsets):
         raise InvalidLayerError("offsets must be >= 0")
-    m_mins = [layer.m_in + d for layer, d in zip(net.layers, offsets)]
+    if arena_size is not None and arena_size < 1:
+        raise InvalidLayerError(f"arena_size must be >= 1, got {arena_size}")
+    # the size properties are computed on each access: read them once
+    m_ins = [layer.m_in for layer in net.layers]
+    m_outs = [layer.m_out for layer in net.layers]
+    m_mins = [m_in + d for m_in, d in zip(m_ins, offsets)]
     # A layer can emit more words than m_in + d spans (channel expansion,
     # windows over padding); the arena must still hold its full output.
-    needed = max(max(m_mins), max(layer.m_out for layer in net.layers))
+    needed = max(max(m_mins), max(m_outs))
     size = needed if arena_size is None else arena_size
 
     plans = []
     base = 0
-    for i, (layer, d, mm) in enumerate(zip(net.layers, offsets, m_mins)):
+    for i, (m_in, m_out, d, mm) in enumerate(zip(m_ins, m_outs, offsets, m_mins)):
         out_base = (base - d) % size
         plans.append(
             LayerPlan(
                 index=i,
-                m_in=layer.m_in,
-                m_out=layer.m_out,
+                m_in=m_in,
+                m_out=m_out,
                 d=d,
                 m_min_layer=mm,
                 input_base=base,
@@ -133,7 +138,7 @@ def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
 
     # the disjoint baseline keeps each layer's input (with residual carries)
     # and output live at once; weights and biases take one word per parameter
-    pingpong = max(layer.m_in + layer.m_out for layer in net.layers)
+    pingpong = max(m_in + m_out for m_in, m_out in zip(m_ins, m_outs))
     params = sum((l.block_cycles + 1) * l.c_out for l in net.layers)
     savings_act = (pingpong - size) / pingpong * 100.0
     savings_total = ((params + pingpong) - (params + size)) / (params + pingpong) * 100.0

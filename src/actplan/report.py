@@ -15,12 +15,16 @@ def plan_to_json(plan: MemoryPlan) -> str:
 
 
 def _humanize_words(words: int) -> str:
-    """Short k/M form with one decimal, as used in result tables."""
-    if words >= 10**6:
-        return f"{words / 10**6:.1f}M"
-    if words >= 10**3:
+    """Short k/M form with one decimal, as used in result tables.
+
+    The unit is chosen after rounding, so 999,950 words print as 1.0M, not
+    1000.0k.
+    """
+    if words < 10**3:
+        return str(words)
+    if round(words / 10**3, 1) < 10**3:
         return f"{words / 10**3:.1f}k"
-    return str(words)
+    return f"{words / 10**6:.1f}M"
 
 
 def render_plan_text(plan: MemoryPlan, memory_map: bool = False) -> str:
@@ -41,33 +45,43 @@ def render_plan_text(plan: MemoryPlan, memory_map: bool = False) -> str:
             f"{lp.m_min_layer:>12,} {lp.input_base:>10,} {lp.output_base:>10,}"
         )
     if memory_map:
-        lines.append("")
-        lines.extend(render_memory_map(plan).splitlines())
+        lines += ["", render_memory_map(plan)]
     return "\n".join(lines) + "\n"
 
 
-def _covers(cell_lo: int, cell_hi: int, start: int, length: int, size: int) -> bool:
-    """Does the circular interval [start, start+length) touch [cell_lo, cell_hi)?"""
+# output over a bar already marked with inputs: free cells become o, input cells x
+_MARK_OUTPUT = bytes.maketrans(b".i", b"ox")
+
+
+def _cell_runs(base: int, length: int, size: int, width: int) -> list:
+    """The cells ``[first, stop)`` that the circular region ``[base, base+length)``
+    touches, one run for each of its at most two linear spans.
+
+    Cell ``j`` covers words ``[j*size//width, (j+1)*size//width)``, so word
+    ``w`` lies in cell ``((w+1)*width - 1) // size``, the last cell starting
+    at or below it.
+    """
     if length >= size:
-        return True
-    end = (start + length) % size
-    if start < end:
-        return cell_lo < end and cell_hi > start
-    return cell_lo < end or cell_hi > start
+        return [(0, width)]
+    end = base + length
+    spans = [(base, end)] if end <= size else [(base, size), (0, end - size)]
+    return [(((a + 1) * width - 1) // size, (b * width - 1) // size + 1) for a, b in spans]
 
 
 def render_memory_map(plan: MemoryPlan) -> str:
-    """One bar per layer: i = input, o = output, x = both in that arena slice."""
+    """One bar per layer: i = input, o = output, x = both in that arena slice.
+
+    Cell ``j`` of ``width`` covers words ``[j*size//width, (j+1)*size//width)``
+    and shows every region that touches any of its words.
+    """
     size = plan.arena_size
     width = min(64, size)
     out = [f"memory map ({size:,} words, {width} cells of ~{size / width:.0f} words)"]
     for lp in plan.layer_plans:
-        cells = []
-        for j in range(width):
-            lo = j * size // width
-            hi = (j + 1) * size // width
-            has_in = _covers(lo, hi, lp.input_base, lp.m_in, size)
-            has_out = _covers(lo, hi, lp.output_base, lp.m_out, size)
-            cells.append("x" if has_in and has_out else "i" if has_in else "o" if has_out else ".")
-        out.append(f"layer {lp.index + 1:>3} |{''.join(cells)}|")
+        bar = bytearray(b"." * width)
+        for first, stop in _cell_runs(lp.input_base, lp.m_in, size, width):
+            bar[first:stop] = b"i" * (stop - first)
+        for first, stop in _cell_runs(lp.output_base, lp.m_out, size, width):
+            bar[first:stop] = bar[first:stop].translate(_MARK_OUTPUT)
+        out.append(f"layer {lp.index + 1:>3} |{bar.decode()}|")
     return "\n".join(out)

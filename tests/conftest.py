@@ -1,6 +1,6 @@
 """Shared pytest plumbing: the acceptance suite's per-criterion summary, a
-square-layer builder, and literal loop-nest references for the oracle and
-executor tests."""
+square-layer builder, literal loop-nest references for the oracle and
+executor tests, and a cell-by-cell reference for the memory map."""
 
 import numpy as np
 
@@ -139,3 +139,31 @@ def loop_nest_exec(net, plan, x, weights, checked=False):
     words = [arena[(plan.layer_plans[-1].output_base + e) % size]
              for e in range(x_out * y_out * last.c_out)]
     return np.array(words, dtype=np.int64).reshape(y_out, x_out, last.c_out)
+
+
+def _covers(cell_lo, cell_hi, start, length, size):
+    """Does the circular interval [start, start+length) touch [cell_lo, cell_hi)?"""
+    if length >= size:
+        return True
+    end = (start + length) % size
+    if start < end:
+        return cell_lo < end and cell_hi > start
+    return cell_lo < end or cell_hi > start
+
+
+def memory_map_reference(plan):
+    """The memory map drawn one cell at a time, testing each cell against
+    each region: an independent reference for ``render_memory_map``."""
+    size = plan.arena_size
+    width = min(64, size)
+    out = [f"memory map ({size:,} words, {width} cells of ~{size / width:.0f} words)"]
+    for lp in plan.layer_plans:
+        cells = []
+        for j in range(width):
+            lo = j * size // width
+            hi = (j + 1) * size // width
+            has_in = _covers(lo, hi, lp.input_base, lp.m_in, size)
+            has_out = _covers(lo, hi, lp.output_base, lp.m_out, size)
+            cells.append("x" if has_in and has_out else "i" if has_in else "o" if has_out else ".")
+        out.append(f"layer {lp.index + 1:>3} |{''.join(cells)}|")
+    return "\n".join(out)

@@ -40,6 +40,15 @@ class TestPlan:
         assert code == 0
         assert "arena" in out and "memory map" in out
 
+    def test_ascii_map_with_json_is_a_usage_error(self, capsys):
+        # the map belongs to the text report; JSON would silently drop it
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", TINY_PAIR, "--format", "json", "--ascii-map"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: actplan ")
+        assert "argument --ascii-map: not allowed with argument --format json" in err
+
     def test_single_identity_near_half(self, capsys):
         code, out, _ = run_cli(capsys, "plan",
                                str(bundled_network_path("single_identity")),

@@ -120,6 +120,9 @@ class TestPlan:
             plan_with_offsets(net, [1])
         with pytest.raises(InvalidLayerError):
             plan_with_offsets(net, [1, -1])
+        for size in (0, -5):
+            with pytest.raises(InvalidLayerError, match="arena_size must be >= 1"):
+                plan_with_offsets(net, [1, 1], arena_size=size)
 
 
 class TestBaselineAndParams:

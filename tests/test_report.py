@@ -1,6 +1,8 @@
 """Plan report serialization, rendering and the memory map."""
 
+import dataclasses
 import json
+import random
 
 from actplan import (
     LayerPlan,
@@ -12,6 +14,8 @@ from actplan import (
     render_memory_map,
     render_plan_text,
 )
+
+from conftest import memory_map_reference
 
 
 def sample_plan():
@@ -34,8 +38,6 @@ def test_json_round_trip_is_lossless():
 
 
 def test_round_trip_over_random_plans():
-    import random
-
     from actplan import random_network
 
     for seed in range(25):
@@ -93,3 +95,36 @@ def test_humanize():
     assert "999 words (999)" in text
     assert "614,400 words (614.4k)" in text
     assert "26,255,424 words (26.3M)" in text
+    # the unit is chosen after rounding: 999,950 words round to 1000.0k
+    for words, short in ((999, "999"), (1_000, "1.0k"), (999_949, "999.9k"),
+                         (999_950, "1.0M"), (1_000_000, "1.0M")):
+        text = render_plan_text(dataclasses.replace(plan, arena_size=words))
+        assert f"arena            {words:,} words ({short})\n" in text
+
+
+def _random_region(rng, size):
+    """A base and a length in an arena of ``size`` words: the whole arena, a
+    few words (which land on or beside cell bounds) or any length."""
+    length = rng.choice((size, rng.randint(1, min(3, size)), rng.randint(1, size)))
+    return rng.randrange(size), length
+
+
+def test_memory_map_matches_cell_by_cell_reference():
+    rng = random.Random(22)
+    sizes = [*range(1, 201), 10**6 - 1, 10**6, 10**6 + 7,
+             *(rng.randint(10**6 - 100, 10**6 + 100) for _ in range(50))]
+    wrapped = full = 0
+    for size in sizes:
+        for _ in range(6):
+            lps = []
+            for i in range(4):
+                (ib, m_in), (ob, m_out) = _random_region(rng, size), _random_region(rng, size)
+                wrapped += (m_in < size < ib + m_in) + (m_out < size < ob + m_out)
+                full += (m_in == size) + (m_out == size)
+                lps.append(LayerPlan(index=i, m_in=m_in, m_out=m_out, d=0, m_min_layer=m_in,
+                                     input_base=ib, output_base=ob))
+            plan = MemoryPlan(name="random", packing=1, arena_size=size,
+                              layer_plans=tuple(lps), pingpong_size=size, parameter_words=0,
+                              savings_activations_pct=0.0, savings_total_pct=0.0)
+            assert render_memory_map(plan) == memory_map_reference(plan), plan
+    assert wrapped > 1000 and full > 1000
