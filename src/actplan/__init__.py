@@ -29,13 +29,13 @@ from .planner import (
     plan_with_offsets,
     tightest_layer,
 )
+from .pointer import paper_offset, read_pointer_at
 from .report import plan_to_json, render_memory_map, render_plan_text
 
-# Where each name of a module that computes with numpy lives.  They are
-# imported on first use, so that ``import actplan`` and planning do not load
-# numpy.
+# Where each name of the modules that compute with numpy, the oracle and the
+# sweeps, lives.  They are imported on first use, so that ``import actplan``
+# and planning do not load numpy.
 _LAZY = {
-    "paper_offset": "pointer", "read_pointer_at": "pointer",
     "OracleReport": "oracle", "lifetime_minima": "oracle", "verify_layer": "oracle",
     "execute_network_reference": "oracle", "execute_network_in_arena": "oracle",
     "seeded_test_vectors": "oracle",

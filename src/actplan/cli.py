@@ -21,10 +21,12 @@ import sys
 from .errors import ActplanError, ClobberError, SizeLimitError
 from .netfile import parse_network_file
 from .planner import plan_network, plan_with_offsets, tightest_layer
+from .pointer import paper_offset
 from .report import plan_to_json, render_plan_text
 
 # ``verify``, ``sweep`` and ``exec`` import the modules that compute with
-# numpy when they run, so that ``plan`` does not load numpy.
+# numpy, the oracle and the sweeps, when they run, so that ``plan`` does not
+# load numpy.
 
 
 def _int_at_least(low: int):
@@ -49,16 +51,15 @@ def _cmd_plan(args) -> int:
 # what ``verify`` prints after each layer's number, by verdict
 _VERDICT_TEXT = {
     "skipped": "skipped ({detail})",
-    "match": "match (d={d_closed_form}, paper {paper})",
+    "match": "match (d={d_closed_form}, paper {d_paper})",
     "closed_form_conservative": "conservative (closed {d_closed_form}, minimum {d_oracle}, "
-                                "gap {gap}, paper {paper})",
-    "UNSAFE": "UNSAFE (closed {d_closed_form} < minimum {d_oracle}, paper {paper})",
+                                "gap {gap}, paper {d_paper})",
+    "UNSAFE": "UNSAFE (closed {d_closed_form} < minimum {d_oracle}, paper {d_paper})",
 }
 
 
 def _cmd_verify(args) -> int:
     from .oracle import verify_layer
-    from .pointer import paper_offset
 
     net = parse_network_file(args.file)
     rows = []
@@ -73,24 +74,16 @@ def _cmd_verify(args) -> int:
             "verdict": rep.verdict,
             "d_closed_form": rep.d_closed_form,
             "d_oracle": rep.d_oracle,
-            "d_paper": None,
+            "d_paper": paper_offset(layer),
         }
         if rep.verdict == "closed_form_conservative":
             row["gap"] = rep.gap
-        # the paper column has bounds of its own; past them the oracle's
-        # verdict stands, and the row says why the paper column is empty
-        try:
-            row["d_paper"] = paper_offset(layer)
-        except SizeLimitError as exc:
-            row["detail"] = str(exc)
         rows.append(row)
     if args.format == "json":
         print(json.dumps({"name": net.name, "layers": rows}, indent=2))
     else:
         for row in rows:
-            paper = f"skipped: {row['detail']}" if "detail" in row else row["d_paper"]
-            print(f"layer {row['layer']:>3}: "
-                  + _VERDICT_TEXT[row["verdict"]].format(paper=paper, **row))
+            print(f"layer {row['layer']:>3}: " + _VERDICT_TEXT[row["verdict"]].format(**row))
     return 1 if any(row["verdict"] == "UNSAFE" for row in rows) else 0
 
 

@@ -1,10 +1,11 @@
 """Shared pytest plumbing: the acceptance suite's per-criterion summary, a
-square-layer builder, literal loop-nest references for the oracle and
-executor tests, and a cell-by-cell reference for the memory map."""
+square-layer builder, a block-by-block reference for the paper's offset,
+literal loop-nest references for the oracle and executor tests, and a
+cell-by-cell reference for the memory map."""
 
 import numpy as np
 
-from actplan import ClobberError, LayerSpec
+from actplan import ClobberError, LayerSpec, read_pointer_at
 
 acceptance_lines = []
 
@@ -25,6 +26,14 @@ def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1, carry=0):
     """A layer with equal width and height, kernel, stride and padding."""
     return LayerSpec(x_in=edge, y_in=edge, c_in=c_in, k_x=k, k_y=k, s_x=s, s_y=s,
                      p_x=p, p_y=p, c_out=c_out, groups=groups, residual_carry_words=carry)
+
+
+def paper_offset_reference(layer):
+    """The paper's offset from the pointer model at every block start: a
+    reference for ``paper_offset``, which evaluates only a few windows' last
+    blocks per output row."""
+    dense = max(k - read_pointer_at(k * layer.block_cycles, layer) for k in range(layer.m_out))
+    return max(dense, 0) + 1
 
 
 def loop_nest_trace(layer):

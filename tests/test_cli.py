@@ -120,35 +120,40 @@ class TestVerify:
         assert out == ("layer   1: UNSAFE (closed 1 < minimum 5, paper 5)\n"
                        "layer   2: UNSAFE (closed 1 < minimum 5, paper 5)\n")
 
-    def test_oversized_layer_gets_guidance(self, capsys, tmp_path):
-        # 4.9e9 windows: the oracle checks it at once, but the paper column
-        # would take minutes, so the row keeps the oracle's verdict and names
-        # the paper column's bound in place of its offset
+    def test_oversized_layer_gets_paper_offset(self, capsys, tmp_path):
+        # 4.9e9 windows: the oracle checks it at once, and the paper column
+        # evaluates a few windows per output row
         net = tmp_path / "wide.net"
         net.write_text("name: wide\nlayers:\n  - {x_in: 70000, y_in: 70000, c_in: 1, "
                        "k_x: 1, k_y: 1, s_x: 1, s_y: 1, p_x: 0, p_y: 0, c_out: 1}\n")
-        refusal = "4900000000 windows, above paper_offset's bound of 4000000000"
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "verify", str(net))
         json_code, json_out, _ = run_cli(capsys, "verify", str(net), "--format", "json")
         assert time.perf_counter() - start < 1
         assert (code, json_code) == (0, 0)
-        assert out == f"layer   1: match (d=1, paper skipped: {refusal})\n"
+        assert out == "layer   1: match (d=1, paper 1)\n"
         assert json.loads(json_out)["layers"] == [
-            {"layer": 1, "verdict": "match", "d_closed_form": 1, "d_oracle": 1,
-             "d_paper": None, "detail": refusal}]
+            {"layer": 1, "verdict": "match", "d_closed_form": 1, "d_oracle": 1, "d_paper": 1}]
 
     def test_layer_above_axis_read_bound_skipped_but_planned(self, capsys, tmp_path):
-        # under the cycle cap, but 50,331,648 (window, tap) reads along x
         net = tmp_path / "row.net"
-        net.write_text("name: row\nlayers:\n  - {x_in: 16777216, y_in: 1, c_in: 1, "
-                       "k_x: 3, k_y: 1, s_x: 1, s_y: 1, p_x: 1, p_y: 0, c_out: 1}\n")
-        code, out, _ = run_cli(capsys, "verify", str(net))
-        assert code == 0
-        assert out.startswith("layer   1: skipped (") and "bound of 2097152" in out
-        code, out, _ = run_cli(capsys, "plan", str(net))
-        assert code == 0
-        assert "arena            16,777,217 words" in out
+        for shape in (
+            # under the cycle cap, but 50,331,648 (window, tap) reads along x
+            "x_in: 16777216, y_in: 1, k_x: 3, k_y: 1, p_x: 1, p_y: 0",
+            # the same along y: 2**24 output rows, which the paper column, at
+            # a few windows per row, would take about 20 s over
+            "x_in: 1, y_in: 16777216, k_x: 1, k_y: 3, p_x: 0, p_y: 1",
+        ):
+            net.write_text(f"name: row\nlayers:\n  - {{{shape}, c_in: 1, s_x: 1, s_y: 1, "
+                           "c_out: 1}\n")
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, "verify", str(net))
+            assert time.perf_counter() - start < 1
+            assert code == 0
+            assert out.startswith("layer   1: skipped (") and "bound of 2097152" in out
+            code, out, _ = run_cli(capsys, "plan", str(net))
+            assert code == 0
+            assert "arena            16,777,217 words" in out
 
     def test_layer_above_int64_bound_skipped(self, capsys, tmp_path):
         # 2**64 input words: one skipped row, not a wrapped UNSAFE verdict

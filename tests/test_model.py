@@ -1,10 +1,9 @@
-"""Closed-form pointer model: geometry, pointers, offsets."""
+"""Layer geometry, the closed-form offset and the paper's pointer model."""
 
 import dataclasses
 import random
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from actplan import (
@@ -22,10 +21,10 @@ from actplan import (
     sweep_layer_configs,
 )
 
-from conftest import square
+from conftest import paper_offset_reference, square
 
-# paper_offset of every layer of every bundled file, as computed by the
-# earlier per-row candidate scan; pins the pointer model at full scale
+# paper_offset of every layer of every bundled file, as computed by a scan of
+# every window's last block; pins the pointer model at full scale
 BUNDLED_PAPER_OFFSETS = {
     "dlib_face": [415366, 5152, 2592, 88352, 7245, 7245, 321],
     "dmcnn_vd": [24987523] + [41024] * 18 + [1923],
@@ -139,8 +138,6 @@ class TestPointers:
     def test_negative_cycle_rejected(self):
         with pytest.raises(ValueError):
             read_pointer_at(-1, square(4))
-        with pytest.raises(ValueError):
-            read_pointer_at(np.array([0, -1]), square(4))
 
 
 class TestMinOffset:
@@ -219,8 +216,12 @@ class TestMinOffset:
             assert plan.arena_size <= plan.pingpong_size
 
     def test_candidate_scan_matches_blockwise_evaluation(self):
-        # evaluating the paper model at each window's last block must agree
-        # with evaluating it at every block start
+        # evaluating the paper model at a few windows' last blocks per output
+        # row must agree with evaluating it at every block start: on a few
+        # hand-picked layers, the sweep domain and random asymmetric grouped
+        # layers with padding up to k + 2.  Each candidate window (the row's
+        # first, second and last, and both sides of the zero crossing) is the
+        # only maximum on some of these layers
         layers = [
             square(4, k=3, p=1),
             square(2, c_out=2),
@@ -231,11 +232,20 @@ class TestMinOffset:
             LayerSpec(x_in=5, y_in=3, c_in=2, k_x=3, k_y=2, s_x=2, s_y=1,
                       p_x=1, p_y=0, c_out=3),
         ]
+        layers += sweep_layer_configs()
+        rng = random.Random(23)
+        for _ in range(2000):
+            k_x, k_y = rng.randint(1, 11), rng.randint(1, 11)
+            p_x, p_y = rng.randint(0, k_x + 2), rng.randint(0, k_y + 2)
+            c_in, c_out = rng.randint(1, 3), rng.randint(1, 3)
+            layers.append(LayerSpec(
+                x_in=rng.randint(max(1, k_x - 2 * p_x), 60),
+                y_in=rng.randint(max(1, k_y - 2 * p_y), 60),
+                c_in=c_in, k_x=k_x, k_y=k_y,
+                s_x=rng.randint(1, 5), s_y=rng.randint(1, 5), p_x=p_x, p_y=p_y,
+                c_out=c_out, groups=c_in if c_out % c_in == 0 else 1))
         for layer in layers:
-            dense = max(
-                k - read_pointer_at(k * layer.block_cycles, layer) for k in range(layer.m_out)
-            )
-            assert paper_offset(layer) == max(0, dense) + 1, layer
+            assert paper_offset(layer) == paper_offset_reference(layer), layer
 
     @pytest.mark.parametrize("name", sorted(BUNDLED_PAPER_OFFSETS))
     def test_paper_offset_on_bundled_layers(self, name):

@@ -33,7 +33,13 @@ from actplan import (
 )
 
 from actplan.oracle import _last_read_window, _refuse_over_word_cap
-from conftest import exhaustive, loop_nest_exec, loop_nest_trace, square
+from conftest import (
+    exhaustive,
+    loop_nest_exec,
+    loop_nest_trace,
+    paper_offset_reference,
+    square,
+)
 
 
 class TestTrace:
@@ -146,19 +152,22 @@ class TestBruteForceOffset:
         assert d == 4001
         assert peak < 16 * 2**20
 
-    def test_paper_offset_refuses_before_allocating(self):
-        # 4.9e9 windows: within the oracle's bounds, but nearly three minutes
-        # of pointer-model steps
-        layer = LayerSpec(x_in=70_000, y_in=70_000, c_in=1, k_x=1, k_y=1, s_x=1, s_y=1,
-                          p_x=0, p_y=0, c_out=1)
+    # 4.9e9 windows, past the 4e9 bound the paper column had while it scanned
+    # every window
+    WIDE = LayerSpec(x_in=70_000, y_in=70_000, c_in=1, k_x=1, k_y=1, s_x=1, s_y=1,
+                     p_x=0, p_y=0, c_out=1)
+
+    def test_paper_offset_exact_past_the_old_window_bound(self):
+        assert paper_offset(self.WIDE) == 1
+        # the same 70,000-window rows, 2,000 of them: tracing each allocation
+        # of all 70,000 rows would take seconds, and nothing is kept per row
         tracemalloc.start()
         try:
-            with pytest.raises(SizeLimitError, match="4900000000 windows, above paper_offset's "
-                                                     "bound of 4000000000"):
-                paper_offset(layer)
+            d = paper_offset(replace(self.WIDE, y_in=2_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert d == 1
         assert peak < 2**20
 
     def test_int64_bound_refuses(self):
@@ -169,15 +178,14 @@ class TestBruteForceOffset:
         with pytest.raises(SizeLimitError, match="18446744073709551616 input or output words, "
                                                  "above the int64 bound of 4611686018427387904"):
             lifetime_minima([deep])
-        with pytest.raises(SizeLimitError, match="int64 bound"):
-            paper_offset(deep)
         # three windows only, but the side pullback per row is about 1.5 * 2**63 words
         far = LayerSpec(x_in=1, y_in=1, c_in=1, k_x=1, k_y=1, s_x=2**31, s_y=1,
                         p_x=2**31, p_y=0, c_out=1)
         assert verify_layer(far).verdict == "match"  # the oracle is exact here
-        with pytest.raises(SizeLimitError, match="pointer model reaches 13835058053134680064, "
-                                                 "above its int64 bound"):
-            paper_offset(far)
+        # the paper's pointer model in Python ints is exact at both: it equals
+        # the per-block scan, where it refused while it computed in int64
+        assert paper_offset(deep) == paper_offset_reference(deep) == 1
+        assert paper_offset(far) == paper_offset_reference(far) == 3
 
     # 5e7 MAC cycles, under the default cap, but 50,331,648 reads along x
     ROW = LayerSpec(x_in=2**24, y_in=1, c_in=1, k_x=3, k_y=1, s_x=1, s_y=1,
@@ -571,6 +579,22 @@ class TestFullScale:
             with pytest.raises(ClobberError) as exc:
                 execute_network_in_arena(net, bad, x, weights, checked=True)
             assert exc.value.layer_index == i
+
+    @pytest.mark.parametrize("number, window, last_reader",
+                             [(4, 6397, 6398), (5, 161, 162), (6, 161, 162), (7, 321, 324)])
+    def test_paper_offsets_lose_dlib_face_data(self, number, window, last_reader):
+        # the paper's model falls below the lifetime minimum on dlib_face
+        # layers 4-7 (padding above the stride): run alone at the paper's
+        # offset, each writes over an input word a later window still reads
+        layer = parse_network_file(bundled_network_path("dlib_face")).layers[number - 1]
+        assert paper_offset(layer) < min_offset(layer)
+        net = NetworkSpec("paper", (layer,))
+        plan = plan_with_offsets(net, [paper_offset(layer)])
+        x, weights = seeded_test_vectors(net, seed=0)
+        with pytest.raises(ClobberError) as exc:
+            execute_network_in_arena(net, plan, x, weights, checked=True)
+        assert (exc.value.layer_index, exc.value.window, exc.value.last_reader) == (
+            0, window, last_reader)
 
     def test_checked_execution_in_bounded_memory(self):
         # the last-reader table is one int64 per pixel, built from one

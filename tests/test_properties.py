@@ -25,7 +25,7 @@ from unittest.mock import patch
 from actplan import oracle
 from actplan.oracle import _last_read_window
 from actplan.sweep import _SWEEP_SLICE
-from conftest import exhaustive, loop_nest_trace
+from conftest import exhaustive, loop_nest_trace, paper_offset_reference
 
 
 @st.composite
@@ -89,14 +89,7 @@ def test_block_start_is_the_weakest_point_of_each_block(layer):
 @given(layers())
 @settings(max_examples=300, deadline=None)
 def test_offset_search_matches_dense_block_scan(layer):
-    dense = max(k - read_pointer_at(k * layer.block_cycles, layer) for k in range(layer.m_out))
-    assert paper_offset(layer) == max(dense, 0) + 1
-    # the array form equals the scalar calls, at block starts and one cycle
-    # later, where the right-edge pullback ticks
-    starts = np.arange(layer.m_out, dtype=np.int64) * layer.block_cycles
-    cycles = np.concatenate([starts, starts + 1])
-    assert read_pointer_at(cycles, layer).tolist() == [read_pointer_at(int(t), layer)
-                                                       for t in cycles]
+    assert paper_offset(layer) == paper_offset_reference(layer)
 
 
 @given(layers())
