@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ClobberError, DimensionMismatchError, SizeLimitError
 from .model import LayerSpec, min_offset
@@ -84,22 +83,38 @@ def _axis_reads(n_out: int, s: int, p: int, k: int, n_in: int):
     return np.nonzero(inside)[0], pos[inside]
 
 
+def _last_readers(n_out: int, s: int, p: int, k: int, n_in: int, scale: int, never: int):
+    """Along one axis, ``scale`` times each index's last reading window, or
+    ``never`` where no window reads it: each window's in-bounds taps in turn,
+    later windows overwriting."""
+    last = [never] * n_in
+    reader = 0
+    for lo in range(-p, n_out * s - p, s):
+        for index in range(lo if lo > 0 else 0, lo + k if lo + k < n_in else n_in):
+            last[index] = reader
+        reader += scale
+    return last
+
+
 def _last_read_window(layer: LayerSpec) -> np.ndarray:
-    """Index of the last window that reads each input pixel, -1 if never read.
+    """Index of the last window that reads each input pixel, -1 if never read,
+    and one more -1 slot after the last pixel, for every word above them.
 
     Pixel ``(y, x)`` is last read by window ``ly[y] * x_out + lx[x]``, from
-    each axis's last reader.  Input word ``a`` belongs to pixel ``a // c_in``:
-    grouped or not, every window that covers a pixel reads all its channels.
+    each axis's last reader; an axis index that no window reads is marked
+    ``-windows``, so every sum it enters is negative and is raised to -1.
+    Input word ``a`` belongs to pixel ``a // c_in``: grouped or not, every
+    window that covers a pixel reads all its channels.
     """
-    (oy, y), (ox, x) = [_axis_reads(*axis) for axis in _axes(layer)]
-    ly = np.full(layer.y_in, -1, dtype=np.int64)
-    lx = np.full(layer.x_in, -1, dtype=np.int64)
-    np.maximum.at(ly, y, oy)
-    np.maximum.at(lx, x, ox)
-    lrw = np.add.outer(ly * layer.x_out, lx)
-    lrw[ly < 0] = -1
-    lrw[:, lx < 0] = -1
-    return lrw.ravel()
+    rows, cols = _axes(layer)
+    x_out, windows = cols[0], rows[0] * cols[0]
+    table = np.empty(layer.y_in * layer.x_in + 1, dtype=np.int64)
+    table[-1] = -1
+    grid = table[:-1].reshape(layer.y_in, layer.x_in)
+    np.add.outer(_last_readers(*rows, x_out, -windows), _last_readers(*cols, 1, -windows),
+                 out=grid)
+    np.maximum(grid, -1, out=grid)
+    return table
 
 
 def lifetime_minima(layers, cycle_cap: int | None = None) -> list:
@@ -152,8 +167,8 @@ def verify_layer(layer: LayerSpec, cycle_cap: int | None = None,
 # ---------------------------------------------------------------------------
 # Execution
 
-# Words gathered and written per batch of windows: with the band of input
-# rows a batch reads (its windows' columns when it lies in one output row,
+# Words copied and written per batch of windows: with the bands of input
+# rows its pieces read (a piece's columns when it lies in one output row,
 # else whole rows), bounds the in-arena executor's scratch memory.
 _BATCH_WORDS = 1 << 15
 
@@ -168,14 +183,15 @@ def _refuse_over_word_cap(net, arena_size: int = 0) -> None:
 
 
 def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
-    """The input as int64 and each layer's weights grouped as (groups, c_out
-    per group, k_y, k_x, c_in per group) with its bias, after refusing
-    networks above the cycle, axis-read or word bound and tensors of the wrong
-    shape, all before any work."""
+    """The input as int64 and, for each layer, its output height and width,
+    read here once, and its weights grouped as (groups, c_out per group, k_y,
+    k_x, c_in per group) with its bias as (groups, c_out per group), after
+    refusing networks above the cycle, axis-read or word bound and tensors of
+    the wrong shape, all before any work."""
     layers = net.layers
-    for layer in layers:
-        _axes(layer)
-    cycles = sum(layer.m_out * layer.block_cycles for layer in layers)
+    outs = [(rows[0], cols[0]) for rows, cols in map(_axes, layers)]
+    cycles = sum(y_out * x_out * layer.c_out * layer.block_cycles
+                 for layer, (y_out, x_out) in zip(layers, outs))
     if cycles > cap:
         raise SizeLimitError(
             f"network needs {cycles} MAC cycles, above the execution cap of {cap}; "
@@ -192,7 +208,7 @@ def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
     if len(weights) != len(layers):
         raise DimensionMismatchError(f"{len(weights)} weight sets for {len(layers)} layers")
     grouped = []
-    for i, (layer, (w, b)) in enumerate(zip(layers, weights)):
+    for i, (layer, (y_out, x_out), (w, b)) in enumerate(zip(layers, outs, weights)):
         w = np.asarray(w, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         want = (layer.c_out, layer.k_y, layer.k_x, layer.c_in // layer.groups)
@@ -205,20 +221,30 @@ def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
                 f"layer {i + 1}: bias shape {b.shape} does not match ({layer.c_out},)"
             )
         g = layer.groups
-        grouped.append((w.reshape(g, layer.c_out // g, *want[1:]), b))
+        grouped.append((y_out, x_out, w.reshape(g, layer.c_out // g, *want[1:]),
+                        b.reshape(g, -1)))
     return x, grouped
 
 
-def _conv_layer(layer: LayerSpec, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _windows(band: np.ndarray, layer: LayerSpec, n_y: int, n_x: int) -> np.ndarray:
+    """The ``(n_y, n_x)`` windows of a zero-padded ``(rows, columns, c_in)``
+    band as one strided view, no copy: window ``(i, j)`` is the block at
+    ``band[i * s_y, j * s_x]``, shaped ``(k_y, k_x, groups, c_in // groups)``."""
+    sy, sx, sc = band.strides
+    cpg = layer.c_in // layer.groups
+    return np.ndarray((n_y, n_x, layer.k_y, layer.k_x, layer.groups, cpg), band.dtype, band, 0,
+                      (sy * layer.s_y, sx * layer.s_x, sy, sx, sc * cpg, sc))
+
+
+def _conv_layer(layer: LayerSpec, y_out: int, x_out: int, x: np.ndarray, w: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
     """Plain padded integer convolution (identity activation)."""
-    padded = np.zeros((layer.y_in + 2 * layer.p_y, layer.x_in + 2 * layer.p_x, layer.c_in),
-                      dtype=np.int64)
-    padded[layer.p_y:layer.p_y + layer.y_in, layer.p_x:layer.p_x + layer.x_in] = x
-    win = sliding_window_view(padded, (layer.k_y, layer.k_x), axis=(0, 1))
-    win = win[::layer.s_y, ::layer.s_x].reshape(
-        layer.y_out, layer.x_out, layer.groups, -1, layer.k_y, layer.k_x)
-    out = np.einsum("yxgcij,goijc->yxgo", win, w)
-    return out.reshape(layer.y_out, layer.x_out, layer.c_out) + b
+    y_in, x_in, p_y, p_x = layer.y_in, layer.x_in, layer.p_y, layer.p_x
+    padded = np.zeros((y_in + 2 * p_y, x_in + 2 * p_x, layer.c_in), dtype=np.int64)
+    padded[p_y:p_y + y_in, p_x:p_x + x_in] = x
+    out = np.einsum("yxijgc,goijc->yxgo", _windows(padded, layer, y_out, x_out), w)
+    out += b
+    return out.reshape(y_out, x_out, layer.c_out)
 
 
 def execute_network_reference(net, input_tensor, weights,
@@ -228,8 +254,8 @@ def execute_network_reference(net, input_tensor, weights,
     Arithmetic is int64 and wraps modulo 2**64.
     """
     x, grouped = _checked_inputs(net, input_tensor, weights, cycle_cap)
-    for layer, (w, b) in zip(net.layers, grouped):
-        x = _conv_layer(layer, x, w, b)
+    for layer, (y_out, x_out, w, b) in zip(net.layers, grouped):
+        x = _conv_layer(layer, y_out, x_out, x, w, b)
     return x
 
 
@@ -263,12 +289,12 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
                 f"exceed the {size}-word arena")
     arena = np.zeros(size, dtype=np.int64)
     _write_span(arena, plan.layer_plans[0].input_base, x.reshape(-1))
-    for layer, (w, b), lp in zip(net.layers, grouped, plan.layer_plans):
-        _run_layer_in_arena(layer, w, b, lp, arena, checked)
-    last = net.layers[-1]
-    out = _read_span(arena, plan.layer_plans[-1].output_base, last.m_out)
-    # an unwrapped read is a view: copy it so that the arena is freed
-    return (out.copy() if out.base is arena else out).reshape(last.y_out, last.x_out, last.c_out)
+    for layer, (y_out, x_out, w, b), lp in zip(net.layers, grouped, plan.layer_plans):
+        _run_layer_in_arena(layer, y_out, x_out, w, b, lp, arena, checked)
+    # the last layer's output; an unwrapped read is a view: copy it so that
+    # the arena is freed
+    out = _read_span(arena, lp.output_base, y_out * x_out * layer.c_out)
+    return (out.copy() if out.base is arena else out).reshape(y_out, x_out, layer.c_out)
 
 
 def _read_span(arena, start, n):
@@ -288,65 +314,70 @@ def _write_span(arena, start, values) -> None:
     arena[:values.size - head] = values[head:]
 
 
-def _run_layer_in_arena(layer, w, b, lp, arena, checked) -> None:
-    size, c_out = arena.size, layer.c_out
-    windows = layer.x_out * layer.y_out
+def _run_layer_in_arena(layer, y_out, x_out, w, b, lp, arena, checked) -> None:
+    """One layer's windows in batches of at most ``_BATCH_WORDS`` words,
+    each also ending after every window that writes early.
+
+    A batch runs as row-aligned pieces: the rest of its first output row,
+    whole rows, the start of its last.  A piece reads the input rows its
+    windows cover from at most two arena slices, split where they wrap, into
+    a zero-padded band; within one output row, only the columns its windows
+    cover.  Its windows are then the whole strided view of that band.  Valid
+    when none of a batch's windows but the last writes early: then no window
+    in the batch reads a word an earlier one of them wrote.
+    """
+    size, c_out, c_in = arena.size, layer.c_out, layer.c_in
+    y_in, x_in, k_y, k_x = layer.y_in, layer.x_in, layer.k_y, layer.k_x
+    s_y, s_x, p_y, p_x = layer.s_y, layer.s_x, layer.p_y, layer.p_x
+    windows, row, m_conv = x_out * y_out, x_in * c_in, y_in * x_in * c_in
+    carry = layer.residual_carry_words
     lrw = _last_read_window(layer)
-    step = max(1, _BATCH_WORDS // (layer.k_y * layer.k_x * layer.c_in + c_out))
+    shift = lp.output_base - lp.input_base
+
+    def run_piece(w0, w1):
+        oy0, oy1 = w0 // x_out, (w1 - 1) // x_out + 1
+        ox0, ox1 = (w0 % x_out, (w1 - 1) % x_out + 1) if oy1 - oy0 == 1 else (0, x_out)
+        # input row and column of band[0, 0], negative inside the top and left padding
+        top, left = oy0 * s_y - p_y, ox0 * s_x - p_x
+        band = np.zeros(((oy1 - oy0 - 1) * s_y + k_y, (ox1 - ox0 - 1) * s_x + k_x, c_in),
+                        dtype=np.int64)
+        r0, r1 = max(top, 0), min(top + band.shape[0], y_in)
+        c0, c1 = max(left, 0), min(left + band.shape[1], x_in)
+        if r1 > r0 and c1 > c0:  # with padding >= the kernel a piece may read no input
+            rows = _read_span(arena, lp.input_base + r0 * row, (r1 - r0) * row)
+            band[r0 - top:r1 - top, c0 - left:c1 - left] = rows.reshape(-1, x_in, c_in)[:, c0:c1]
+        # a contiguous copy, at most the batch's words, contracts faster than the view
+        view = np.ascontiguousarray(_windows(band, layer, oy1 - oy0, ox1 - ox0))
+        out = np.einsum("yxijgc,goijc->yxgo", view, w)
+        out += b
+        _write_span(arena, lp.output_base + w0 * c_out, out.reshape(-1))
+
+    step = max(1, _BATCH_WORDS // (k_y * k_x * c_in + c_out))
     for c0 in range(0, windows, step):
         c1 = min(c0 + step, windows)
-        k = np.arange(c0 * c_out, c1 * c_out)
-        words = (lp.output_base + k) % size
-        # the last window due to read each landing word; carry words outlive
-        # every window
-        a = (words - lp.input_base) % size
-        pixel = a // layer.c_in
-        victim = np.where(pixel < lrw.size, lrw[np.minimum(pixel, lrw.size - 1)],
-                          np.where(a < layer.m_in, windows, -1))
-        early = np.flatnonzero(victim > k // c_out)
+        # each landing word's offset above the input base and the last window
+        # due to read it; carry words outlive every window
+        a = np.arange(c0 * c_out + shift, c1 * c_out + shift) % size
+        victim = lrw.take(a // c_in, mode="clip")
+        if carry:
+            victim[(a >= m_conv) & (a < m_conv + carry)] = windows
+        early = np.flatnonzero(victim.reshape(-1, c_out) > np.arange(c0, c1)[:, None])
         if checked and early.size:
-            e = early[0]
-            raise ClobberError(lp.index, int(k[e]), int(words[e]), int(k[e] // c_out),
+            e = int(early[0])
+            k = c0 * c_out + e
+            raise ClobberError(lp.index, k, (lp.output_base + k) % size, k // c_out,
                                int(victim[e]))
         # a batch ends after each window that writes early
         w0 = c0
-        for w1 in [*(k[early] // c_out + 1).tolist(), c1]:
-            if w1 > w0:
-                _run_windows(layer, w, b, lp, arena, w0, w1)
-                w0 = w1
-
-
-def _run_windows(layer, w, b, lp, arena, w0, w1) -> None:
-    """Windows ``w0 .. w1 - 1``: whole input rows in, one contraction, one span out.
-
-    The input rows these windows cover are read from at most two arena
-    slices, split where they wrap, into a zero-padded band, and each window
-    is a (k_y, k_x, c_in) block of a strided view of that band.  A batch
-    within one output row keeps only the columns its windows cover.  Valid
-    when none of these windows but the last writes early: then no window in
-    the batch reads a word an earlier one of them wrote.
-    """
-    x_out, c_in = layer.x_out, layer.c_in
-    oy0, oy1 = w0 // x_out, (w1 - 1) // x_out + 1
-    ox0, ox1 = (w0 % x_out, (w1 - 1) % x_out + 1) if oy1 - oy0 == 1 else (0, x_out)
-    # input row and column of band[0, 0], negative inside the top and left padding
-    top, left = oy0 * layer.s_y - layer.p_y, ox0 * layer.s_x - layer.p_x
-    band = np.zeros(((oy1 - oy0 - 1) * layer.s_y + layer.k_y,
-                     (ox1 - ox0 - 1) * layer.s_x + layer.k_x, c_in), dtype=np.int64)
-    r0, r1 = max(top, 0), min(top + band.shape[0], layer.y_in)
-    c0, c1 = max(left, 0), min(left + band.shape[1], layer.x_in)
-    if r1 > r0 and c1 > c0:  # with padding >= the kernel a batch may read no input
-        row = layer.x_in * c_in
-        rows = _read_span(arena, lp.input_base + r0 * row, (r1 - r0) * row)
-        band[r0 - top:r1 - top, c0 - left:c1 - left] = rows.reshape(r1 - r0, -1, c_in)[:, c0:c1]
-    sy, sx, sc = band.strides
-    view = np.ndarray((oy1 - oy0, ox1 - ox0, layer.k_y, layer.k_x, c_in), np.int64, band, 0,
-                      (sy * layer.s_y, sx * layer.s_x, sy, sx, sc))
-    n = np.arange(w0, w1)
-    patch = view[n // x_out - oy0, n % x_out - ox0].reshape(n.size, layer.k_y, layer.k_x,
-                                                            layer.groups, -1)
-    out = np.einsum("nijgc,goijc->ngo", patch, w).reshape(n.size, layer.c_out) + b
-    _write_span(arena, lp.output_base + w0 * layer.c_out, out.reshape(-1))
+        for w1 in [*(early // c_out + c0 + 1).tolist(), c1]:
+            # row-aligned pieces: w0 to the first row start at or after it,
+            # whole rows, the last row start at or before w1 to w1
+            head = min(w1, -(-w0 // x_out) * x_out)
+            tail = max(head, w1 // x_out * x_out)
+            for lo, hi in ((w0, head), (head, tail), (tail, w1)):
+                if hi > lo:
+                    run_piece(lo, hi)
+            w0 = w1
 
 
 def seeded_test_vectors(net, seed: int):

@@ -5,7 +5,8 @@ cell-by-cell reference for the memory map."""
 
 import numpy as np
 
-from actplan import ClobberError, LayerSpec, read_pointer_at
+from actplan import ClobberError, LayerSpec
+from actplan.pointer import _frontier
 
 acceptance_lines = []
 
@@ -31,9 +32,14 @@ def square(edge, c_in=1, k=1, s=1, p=0, c_out=1, groups=1, carry=0):
 def paper_offset_reference(layer):
     """The paper's offset from the pointer model at every block start: a
     reference for ``paper_offset``, which evaluates only a few windows' last
-    blocks per output row."""
-    dense = max(k - read_pointer_at(k * layer.block_cycles, layer) for k in range(layer.m_out))
-    return max(dense, 0) + 1
+    blocks per output row.  The frontier is built once per layer and clamped
+    as ``read_pointer_at`` clamps it."""
+    frontier, cycles = _frontier(layer), layer.block_cycles
+    gap = 0
+    for k in range(layer.m_out):
+        advance, pullback = frontier(k * cycles)
+        gap = max(gap, k - max(0, advance - pullback))
+    return gap + 1
 
 
 def loop_nest_trace(layer):
@@ -66,6 +72,16 @@ def loop_nest_trace(layer):
                 writes.append((k, k))
                 k += 1
     return tuple(reads), tuple(writes)
+
+
+def last_reading_windows(layer):
+    """Each convolution input word's last reading window in the literal
+    trace, -1 where no window reads it."""
+    reads, _ = loop_nest_trace(layer)
+    last = {}
+    for k, addr in reads:
+        last[addr] = max(last.get(addr, -1), k // layer.c_out)
+    return [last.get(a, -1) for a in range(layer.y_in * layer.x_in * layer.c_in)]
 
 
 def exhaustive(layer):

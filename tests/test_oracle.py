@@ -35,6 +35,7 @@ from actplan import (
 from actplan.oracle import _last_read_window, _refuse_over_word_cap
 from conftest import (
     exhaustive,
+    last_reading_windows,
     loop_nest_exec,
     loop_nest_trace,
     paper_offset_reference,
@@ -311,6 +312,98 @@ def wide_chain(rng: random.Random) -> NetworkSpec:
     return NetworkSpec(f"wide-{len(layers)}", tuple(layers))
 
 
+def layer_chain(name, x_in, y_in, c_in, *layers):
+    """A network from each layer's fields but its input sizes, which follow
+    from the layer before."""
+    built = []
+    for fields in layers:
+        built.append(LayerSpec(x_in=x_in, y_in=y_in, c_in=c_in, **fields))
+        x_in, y_in, c_in = built[-1].x_out, built[-1].y_out, built[-1].c_out
+    return NetworkSpec(name, tuple(built))
+
+
+def kernel(k_x, k_y, s_x, s_y, p_x, p_y, c_out, groups=1, carry=0):
+    """A layer's fields but its input sizes, for ``layer_chain``."""
+    return dict(k_x=k_x, k_y=k_y, s_x=s_x, s_y=s_y, p_x=p_x, p_y=p_y, c_out=c_out,
+                groups=groups, residual_carry_words=carry)
+
+
+# Shapes that neither random_network (depthwise groups only, k <= 3, s <= 2,
+# p <= 1) nor the layers() strategy (depthwise groups only, s <= 2) draws.
+ODD_SHAPES = {
+    # 1 < groups < c_in: each group reads two of the four input channels
+    "grouped": layer_chain("grouped", 7, 6, 4, kernel(3, 3, 1, 1, 1, 1, 6, groups=2),
+                           kernel(2, 3, 1, 1, 0, 1, 3, groups=3)),
+    # stride above a kernel of 2 or more: some columns and rows are never read
+    "stride-above-kernel": layer_chain("stride", 11, 10, 2, kernel(2, 3, 3, 4, 0, 1, 3),
+                                       kernel(2, 2, 3, 2, 1, 0, 2)),
+    # padding at or above the kernel: the edge windows read nothing
+    "padding-above-kernel": layer_chain("padding", 5, 6, 2, kernel(2, 3, 1, 2, 2, 3, 3),
+                                        kernel(3, 1, 2, 1, 4, 2, 2)),
+    # one window along y, then along both axes, then along x (rows of
+    # padding only above and below the one input pixel)
+    "one-window-axes": layer_chain("one", 6, 7, 2, kernel(3, 7, 1, 1, 1, 0, 3),
+                                   kernel(6, 1, 1, 1, 0, 0, 2), kernel(1, 1, 1, 1, 0, 3, 2)),
+    # residual carries above the convolution input
+    "residual-carries": layer_chain("carry", 6, 5, 3, kernel(3, 3, 1, 1, 1, 1, 3, carry=7),
+                                    kernel(3, 2, 2, 1, 1, 0, 4, carry=3),
+                                    kernel(1, 1, 1, 1, 0, 0, 2, carry=2)),
+}
+
+
+def batch_kinds(layer, batch_words):
+    """How the batches of a run without early writes cut the output rows,
+    with ``_BATCH_WORDS`` set to ``batch_words``: each batch holds
+    ``batch_words // (k_y * k_x * c_in + c_out)`` windows, at least one."""
+    step = max(1, batch_words // (layer.k_y * layer.k_x * layer.c_in + layer.c_out))
+    windows, x_out = layer.x_out * layer.y_out, layer.x_out
+    kinds = set()
+    for w0 in range(0, windows, step):
+        w1 = min(w0 + step, windows)
+        cut = {"starts mid-row"} if w0 % x_out else set()
+        cut |= {"ends mid-row"} if w1 % x_out else set()
+        if -(-w0 // x_out) < w1 // x_out and w1 - w0 < windows:
+            cut.add("whole rows")
+        if len(cut) == 3:
+            cut.add("mid-row to mid-row over whole rows")
+        kinds |= cut
+    return kinds
+
+
+def runs_like_the_loop(net, rng, seed):
+    """Run ``net`` at its plan and at three sets of offsets lowered by random
+    amounts, the last inside an arena shrunk to the largest input or output:
+    checked runs clobber at the same (layer, block, address, window, last
+    reader) as the window-by-window loop, and unchecked runs give the same
+    words.  Returns how many of the four runs clobber."""
+    plan = plan_network(net)
+    x, weights = seeded_test_vectors(net, seed=seed)
+    assert np.array_equal(execute_network_reference(net, x, weights),
+                          loop_nest_exec(net, plan, x, weights))
+    clobbers = 0
+    for trial in range(4):
+        offsets = [lp.d if trial == 0 else rng.randint(0, lp.d) for lp in plan.layer_plans]
+        size = plan.arena_size
+        if trial == 3:
+            size = max(max(lp.m_in, lp.m_out) for lp in plan.layer_plans)
+        p = plan_with_offsets(net, offsets, arena_size=size)
+        try:
+            loop_nest_exec(net, p, x, weights, checked=True)
+            want = None
+        except ClobberError as exc:
+            want = (exc.layer_index, exc.block, exc.address, exc.window, exc.last_reader)
+            clobbers += 1
+        try:
+            execute_network_in_arena(net, p, x, weights, checked=True)
+            got = None
+        except ClobberError as exc:
+            got = (exc.layer_index, exc.block, exc.address, exc.window, exc.last_reader)
+        assert got == want, (seed, offsets, size)
+        assert np.array_equal(execute_network_in_arena(net, p, x, weights),
+                              loop_nest_exec(net, p, x, weights)), (seed, offsets, size)
+    return clobbers
+
+
 class TestExecutors:
     def test_identity_layer_passes_input_through(self):
         net = NetworkSpec("id", (square(4),))
@@ -458,11 +551,7 @@ class TestExecutors:
     ], ids=["random-networks", "batch-edges"])
     def test_matches_window_by_window_loop(self, monkeypatch, chain, seeds, batch_words,
                                            min_clobbers):
-        # random chains, half of them with residual carries, each run at its
-        # plan and at three sets of offsets lowered by random amounts, the
-        # last inside an arena shrunk to the largest input or output: checked
-        # runs clobber at the same (layer, block, address, window, last
-        # reader) as the loop, and unchecked runs give the same words
+        # random chains, half of them with residual carries
         if batch_words:
             monkeypatch.setattr("actplan.oracle._BATCH_WORDS", batch_words)
         clobbers = 0
@@ -473,34 +562,31 @@ class TestExecutors:
                 net = NetworkSpec(net.name, tuple(
                     replace(layer, residual_carry_words=rng.randint(0, 4))
                     for layer in net.layers))
-            plan = plan_network(net)
-            x, weights = seeded_test_vectors(net, seed=seed)
-            assert np.array_equal(execute_network_reference(net, x, weights),
-                                  loop_nest_exec(net, plan, x, weights))
-            for trial in range(4):
-                offsets = [lp.d if trial == 0 else rng.randint(0, lp.d)
-                           for lp in plan.layer_plans]
-                size = plan.arena_size
-                if trial == 3:
-                    size = max(max(lp.m_in, lp.m_out) for lp in plan.layer_plans)
-                p = plan_with_offsets(net, offsets, arena_size=size)
-                try:
-                    loop_nest_exec(net, p, x, weights, checked=True)
-                    want = None
-                except ClobberError as exc:
-                    want = (exc.layer_index, exc.block, exc.address, exc.window,
-                            exc.last_reader)
-                    clobbers += 1
-                try:
-                    execute_network_in_arena(net, p, x, weights, checked=True)
-                    got = None
-                except ClobberError as exc:
-                    got = (exc.layer_index, exc.block, exc.address, exc.window,
-                           exc.last_reader)
-                assert got == want, (seed, offsets, size)
-                assert np.array_equal(execute_network_in_arena(net, p, x, weights),
-                                      loop_nest_exec(net, p, x, weights)), (seed, offsets, size)
+            clobbers += runs_like_the_loop(net, rng, seed)
         assert clobbers > min_clobbers
+
+    def test_odd_shapes_match_window_by_window_loop(self, monkeypatch):
+        # shapes the random generators never draw, at batch sizes from one
+        # window to the whole layer
+        kinds = set()
+        for name, net in ODD_SHAPES.items():
+            clobbers = 0
+            for batch_words in (1, 60, 150, 400, 1000, 1 << 15):
+                monkeypatch.setattr("actplan.oracle._BATCH_WORDS", batch_words)
+                kinds |= {kind for layer in net.layers for kind in batch_kinds(layer, batch_words)}
+                clobbers += runs_like_the_loop(net, random.Random(batch_words), batch_words)
+            assert clobbers > 0, name
+        assert kinds == {"starts mid-row", "ends mid-row", "whole rows",
+                         "mid-row to mid-row over whole rows"}
+
+    @pytest.mark.parametrize("name", sorted(ODD_SHAPES))
+    def test_odd_shapes_last_read_window(self, name):
+        for layer in ODD_SHAPES[name].layers:
+            lrw = _last_read_window(layer)
+            m_conv = layer.y_in * layer.x_in * layer.c_in
+            assert lrw.shape == (layer.y_in * layer.x_in + 1,) and lrw[-1] == -1
+            assert last_reading_windows(layer) == [int(lrw[a // layer.c_in])
+                                                   for a in range(m_conv)]
 
     def test_plan_for_another_network_refused(self):
         # the plan of a network's 2-layer prefix would run 2 of its 4 layers

@@ -25,7 +25,7 @@ from unittest.mock import patch
 from actplan import oracle
 from actplan.oracle import _last_read_window
 from actplan.sweep import _SWEEP_SLICE
-from conftest import exhaustive, loop_nest_trace, paper_offset_reference
+from conftest import exhaustive, last_reading_windows, loop_nest_trace, paper_offset_reference
 
 
 @st.composite
@@ -120,16 +120,13 @@ def test_batched_offsets_equal_exhaustive_search(distinct, rng):
 def test_last_read_window_is_shared_by_a_pixels_channels(layer):
     # the executor looks input word a up at pixel a // c_in; that is exact
     # only if, grouped or not, every channel of a pixel has the same last
-    # reading window in the literal trace
-    reads, _ = loop_nest_trace(layer)
-    last = {}
-    for k, addr in reads:
-        last[addr] = max(last.get(addr, -1), k // layer.c_out)
+    # reading window in the literal trace; the slot after the last pixel
+    # marks every word above them as never read
     lrw = _last_read_window(layer)
-    assert lrw.shape == (layer.y_in * layer.x_in,)
+    assert lrw.shape == (layer.y_in * layer.x_in + 1,)
+    assert lrw[-1] == -1
     m_conv = layer.y_in * layer.x_in * layer.c_in
-    assert [last.get(a, -1) for a in range(m_conv)] == [
-        int(lrw[a // layer.c_in]) for a in range(m_conv)]
+    assert last_reading_windows(layer) == [int(lrw[a // layer.c_in]) for a in range(m_conv)]
 
 
 @given(layers())
