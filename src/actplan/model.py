@@ -59,14 +59,10 @@ class LayerSpec:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InvalidLayerError(f"{name} must be an integer >= 0, got {v!r}")
-        if self.k_x > self.x_in + 2 * self.p_x:
-            raise InvalidLayerError(
-                f"kernel k_x={self.k_x} exceeds padded width {self.x_in + 2 * self.p_x}"
-            )
-        if self.k_y > self.y_in + 2 * self.p_y:
-            raise InvalidLayerError(
-                f"kernel k_y={self.k_y} exceeds padded height {self.y_in + 2 * self.p_y}"
-            )
+        for k, n_in, p, name, side in ((self.k_x, self.x_in, self.p_x, "k_x", "width"),
+                                       (self.k_y, self.y_in, self.p_y, "k_y", "height")):
+            if k > n_in + 2 * p:
+                raise InvalidLayerError(f"kernel {name}={k} exceeds padded {side} {n_in + 2 * p}")
         if self.c_in % self.groups or self.c_out % self.groups:
             raise InvalidLayerError(
                 f"groups={self.groups} must divide c_in={self.c_in} and c_out={self.c_out}"
@@ -103,19 +99,21 @@ def _out_size(n_in: int, k: int, s: int, p: int) -> int:
     return (2 * p + n_in - k) // s + 1
 
 
-def _axis_terms(n_in: int, k: int, s: int, p: int, n_out: int, a: int, b: int):
-    """Candidates for the largest ``a*j(i) - b*i`` over the read indices ``i``.
+def axes(layer) -> tuple:
+    """The layer's rows and columns as ``(n_in, k, s, p, n_out)``; reads its fields only."""
+    y_in, k_y, s_y, p_y = layer.y_in, layer.k_y, layer.s_y, layer.p_y
+    x_in, k_x, s_x, p_x = layer.x_in, layer.k_x, layer.s_x, layer.p_x
+    return ((y_in, k_y, s_y, p_y, _out_size(y_in, k_y, s_y, p_y)),
+            (x_in, k_x, s_x, p_x, _out_size(x_in, k_x, s_x, p_x)))
 
-    Window ``j`` covers ``[j*s - p, j*s - p + k)`` and ``j(i) = min(n_out - 1,
-    (i + p) // s)`` is the last window reading ``i``.  For a fixed ``j`` the
-    term is largest at the smallest index ``j`` reads last, ``max(0, j*s - p)``.
-    The windows that are last for some index run from ``j(0)`` to
-    ``j(n_in - 1)``, and only ``j(0)`` can lie below ``ceil(p/s)``; its
-    smallest index is 0, which counts only if that window still reaches it.
-    For ``j >= ceil(p/s)`` the index is ``j*s - p``, always read, so the term
-    is linear in ``j`` and peaks at either end of the range.  An empty list
-    means no index along the axis is read.
+
+def _axis_terms(axis: tuple, a: int, b: int) -> list:
+    """Candidates for the largest ``a*j - b*i`` over an axis's (window ``j``,
+    index ``i``) reads, where window ``j`` covers ``[j*s - p, j*s - p + k)``:
+    windows ``j0``, ``lo`` and ``hi`` of ``min_offset``'s argument, each at
+    its smallest index.  An empty list means no index along the axis is read.
     """
+    n_in, k, s, p, n_out = axis
     j0 = min(n_out - 1, p // s)
     terms = [a * j0] if j0 * s - p + k > 0 else []
     lo, hi = -(-p // s), min(n_out - 1, (n_in - 1 + p) // s)
@@ -130,26 +128,29 @@ def min_offset(layer: LayerSpec) -> int:
     Output word ``e`` lands ``e - d`` words above the input base and commits
     when its window ``e // c_out`` finishes, so an input word at address
     ``a`` whose last reading window is ``w`` needs ``d >= c_out * w - a``.
-    The last window reading pixel ``(y, x)`` is ``ly(y) * x_out + lx(x)``
-    and channel 0 has the pixel's lowest address, so the maximum over all
-    words separates into a row term and a column term, each the maximum of
-    at most three candidates along its axis (see ``_axis_terms``), so the
-    cost does not grow with the image.  The result is floored at one word
-    (strict separation); an axis with no index read leaves it at one.  A
-    residual carry sits above the input and stays live all layer, so the
-    last output word must land below it: ``d >= m_out - x_in*y_in*c_in``.
+    Window ``oy * x_out + ox`` reads pixel ``(y, x)`` when it reads row ``y``
+    and column ``x``, and channel 0 has the pixel's lowest address, so the
+    maximum over all words is a row term plus a column term, each the largest
+    ``a*j - b*i`` over one axis's (window, index) reads, ``a, b > 0``.  Over
+    window ``j``'s reads it is largest at the smallest index ``max(0, j*s - p)``,
+    so the term is the largest ``f(j) = min(a*j, (a - b*s)*j + b*p)`` over the
+    reading windows, an interval.  ``f`` is the minimum of two lines, so it is
+    concave, rising up to ``p/s`` and linear from ``ceil(p/s)`` on: it peaks at
+    the last reading window at or below ``p/s``, at ``ceil(p/s)`` or at the
+    last reading window, ``_axis_terms``' ``j0``, ``lo`` and ``hi``.  That
+    holds for every axis and channel count, at a cost that does not grow with
+    the image.  The result is floored at one word (strict separation); an axis
+    with no index read leaves it at one.  A residual carry sits above the input
+    and stays live all layer, so the last output word must land below it:
+    ``d >= m_out - x_in*y_in*c_in``.
 
     Only the fields are read, so a plain namespace of them will do, as
     ``benchmarks/workloads.py`` passes.
     """
-    x_out = _out_size(layer.x_in, layer.k_x, layer.s_x, layer.p_x)
-    y_out = _out_size(layer.y_in, layer.k_y, layer.s_y, layer.p_y)
-    rows = _axis_terms(layer.y_in, layer.k_y, layer.s_y, layer.p_y, y_out,
-                       layer.c_out * x_out, layer.x_in * layer.c_in)
-    cols = _axis_terms(layer.x_in, layer.k_x, layer.s_x, layer.p_x, x_out,
-                       layer.c_out, layer.c_in)
+    y, x = axes(layer)
+    rows = _axis_terms(y, layer.c_out * x[4], x[0] * layer.c_in)
+    cols = _axis_terms(x, layer.c_out, layer.c_in)
     d = max(1, max(rows) + max(cols)) if rows and cols else 1
     if layer.residual_carry_words:
-        d = max(d, x_out * y_out * layer.c_out - layer.x_in * layer.y_in * layer.c_in)
+        d = max(d, y[4] * x[4] * layer.c_out - y[0] * x[0] * layer.c_in)
     return d
-

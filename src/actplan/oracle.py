@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClobberError, DimensionMismatchError, SizeLimitError
-from .model import LayerSpec, min_offset
+from .model import LayerSpec, axes, min_offset
 
 # The executors' cap on MAC cycles, m_out * block_cycles summed over the
 # network's layers.
@@ -62,31 +62,31 @@ class OracleReport:
 
 
 def _axes(layer: LayerSpec):
-    """Each axis's ``(n_out, s, p, k, n_in)``, rows first; refuses over ``_AXIS_READ_CAP``
-    reads or ``_INT64_BOUND`` input or output words."""
-    if (words := max(layer.m_in, layer.m_out)) > _INT64_BOUND:
+    """The layer's :func:`~actplan.model.axes`; refuses over ``_INT64_BOUND`` input or
+    output words or ``_AXIS_READ_CAP`` reads."""
+    rows, cols = axes(layer)
+    if (words := max(layer.m_in, rows[4] * cols[4] * layer.c_out)) > _INT64_BOUND:
         raise SizeLimitError(f"layer has {words} input or output words, above the int64 "
                              f"bound of {_INT64_BOUND} for the oracle and execution")
-    y_out, x_out = layer.y_out, layer.x_out
-    reads = max(y_out * layer.k_y, x_out * layer.k_x)
-    if reads > _AXIS_READ_CAP:
+    if (reads := max(rows[4] * rows[1], cols[4] * cols[1])) > _AXIS_READ_CAP:
         raise SizeLimitError(f"layer has {reads} (window, tap) reads along one axis, above the "
                              f"bound of {_AXIS_READ_CAP} for the oracle and in-arena execution")
-    return ((y_out, layer.s_y, layer.p_y, layer.k_y, layer.y_in),
-            (x_out, layer.s_x, layer.p_x, layer.k_x, layer.x_in))
+    return rows, cols
 
 
-def _axis_reads(n_out: int, s: int, p: int, k: int, n_in: int):
+def _axis_reads(axis: tuple):
     """Every in-bounds read along one axis as (window, index) arrays."""
+    n_in, k, s, p, n_out = axis
     pos = np.add.outer(np.arange(-p, n_out * s - p, s), np.arange(k))
     inside = (pos >= 0) & (pos < n_in)
     return np.nonzero(inside)[0], pos[inside]
 
 
-def _last_readers(n_out: int, s: int, p: int, k: int, n_in: int, scale: int, never: int):
+def _last_readers(axis: tuple, scale: int, never: int):
     """Along one axis, ``scale`` times each index's last reading window, or
     ``never`` where no window reads it: each window's in-bounds taps in turn,
     later windows overwriting."""
+    n_in, k, s, p, n_out = axis
     last = [never] * n_in
     reader = 0
     for lo in range(-p, n_out * s - p, s):
@@ -96,7 +96,7 @@ def _last_readers(n_out: int, s: int, p: int, k: int, n_in: int, scale: int, nev
     return last
 
 
-def _last_read_window(layer: LayerSpec) -> np.ndarray:
+def _last_read_window(rows, cols) -> np.ndarray:
     """Index of the last window that reads each input pixel, -1 if never read,
     and one more -1 slot after the last pixel, for every word above them.
 
@@ -106,12 +106,11 @@ def _last_read_window(layer: LayerSpec) -> np.ndarray:
     Input word ``a`` belongs to pixel ``a // c_in``: grouped or not, every
     window that covers a pixel reads all its channels.
     """
-    rows, cols = _axes(layer)
-    x_out, windows = cols[0], rows[0] * cols[0]
-    table = np.empty(layer.y_in * layer.x_in + 1, dtype=np.int64)
+    x_out, windows = cols[4], rows[4] * cols[4]
+    table = np.empty(rows[0] * cols[0] + 1, dtype=np.int64)
     table[-1] = -1
-    grid = table[:-1].reshape(layer.y_in, layer.x_in)
-    np.add.outer(_last_readers(*rows, x_out, -windows), _last_readers(*cols, 1, -windows),
+    grid = table[:-1].reshape(rows[0], cols[0])
+    np.add.outer(_last_readers(rows, x_out, -windows), _last_readers(cols, 1, -windows),
                  out=grid)
     np.maximum(grid, -1, out=grid)
     return table
@@ -135,10 +134,10 @@ def lifetime_minima(layers, cycle_cap: int | None = None) -> list:
                 f"layer needs {cycles} MAC cycles, above the brute-force cap of {cycle_cap}; "
                 "use the closed-form planner for layers this large")
         rows, cols = _axes(layer)
-        groups.setdefault(rows, []).append((layer.c_out * cols[0], cols[4] * layer.c_in, 2 * n))
+        groups.setdefault(rows, []).append((layer.c_out * cols[4], cols[0] * layer.c_in, 2 * n))
         groups.setdefault(cols, []).append((layer.c_out, layer.c_in, 2 * n + 1))
     for axis, coefs in groups.items():
-        window, index = _axis_reads(*axis)
+        window, index = _axis_reads(axis)
         step = _AXIS_READ_CAP // max(1, window.size)
         for r in range(0, len(coefs), step):
             a, b, slots = zip(*coefs[r:r + step])
@@ -183,15 +182,15 @@ def _refuse_over_word_cap(net, arena_size: int = 0) -> None:
 
 
 def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
-    """The input as int64 and, for each layer, its output height and width,
-    read here once, and its weights grouped as (groups, c_out per group, k_y,
-    k_x, c_in per group) with its bias as (groups, c_out per group), after
-    refusing networks above the cycle, axis-read or word bound and tensors of
-    the wrong shape, all before any work."""
+    """The input as int64 and, for each layer, its rows and columns as
+    :func:`_axes` checks them, and its weights grouped as (groups, c_out per
+    group, k_y, k_x, c_in per group) with its bias as (groups, c_out per
+    group), after refusing networks above the cycle, axis-read or word bound
+    and tensors of the wrong shape, all before any work."""
     layers = net.layers
-    outs = [(rows[0], cols[0]) for rows, cols in map(_axes, layers)]
-    cycles = sum(y_out * x_out * layer.c_out * layer.block_cycles
-                 for layer, (y_out, x_out) in zip(layers, outs))
+    geometry = list(map(_axes, layers))
+    cycles = sum(rows[4] * cols[4] * layer.c_out * layer.block_cycles
+                 for layer, (rows, cols) in zip(layers, geometry))
     if cycles > cap:
         raise SizeLimitError(
             f"network needs {cycles} MAC cycles, above the execution cap of {cap}; "
@@ -208,10 +207,10 @@ def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
     if len(weights) != len(layers):
         raise DimensionMismatchError(f"{len(weights)} weight sets for {len(layers)} layers")
     grouped = []
-    for i, (layer, (y_out, x_out), (w, b)) in enumerate(zip(layers, outs, weights)):
+    for i, (layer, (rows, cols), (w, b)) in enumerate(zip(layers, geometry, weights)):
         w = np.asarray(w, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        want = (layer.c_out, layer.k_y, layer.k_x, layer.c_in // layer.groups)
+        want = (layer.c_out, rows[1], cols[1], layer.c_in // layer.groups)
         if w.shape != want:
             raise DimensionMismatchError(
                 f"layer {i + 1}: weight shape {w.shape} does not match {want}"
@@ -221,28 +220,29 @@ def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
                 f"layer {i + 1}: bias shape {b.shape} does not match ({layer.c_out},)"
             )
         g = layer.groups
-        grouped.append((y_out, x_out, w.reshape(g, layer.c_out // g, *want[1:]),
-                        b.reshape(g, -1)))
+        grouped.append((rows, cols, w.reshape(g, layer.c_out // g, *want[1:]), b.reshape(g, -1)))
     return x, grouped
 
 
-def _windows(band: np.ndarray, layer: LayerSpec, n_y: int, n_x: int) -> np.ndarray:
+def _windows(band: np.ndarray, rows, cols, groups: int, n_y: int, n_x: int) -> np.ndarray:
     """The ``(n_y, n_x)`` windows of a zero-padded ``(rows, columns, c_in)``
     band as one strided view, no copy: window ``(i, j)`` is the block at
     ``band[i * s_y, j * s_x]``, shaped ``(k_y, k_x, groups, c_in // groups)``."""
+    (_, k_y, s_y, _, _), (_, k_x, s_x, _, _) = rows, cols
     sy, sx, sc = band.strides
-    cpg = layer.c_in // layer.groups
-    return np.ndarray((n_y, n_x, layer.k_y, layer.k_x, layer.groups, cpg), band.dtype, band, 0,
-                      (sy * layer.s_y, sx * layer.s_x, sy, sx, sc * cpg, sc))
+    cpg = band.shape[2] // groups
+    return np.ndarray((n_y, n_x, k_y, k_x, groups, cpg), band.dtype, band, 0,
+                      (sy * s_y, sx * s_x, sy, sx, sc * cpg, sc))
 
 
-def _conv_layer(layer: LayerSpec, y_out: int, x_out: int, x: np.ndarray, w: np.ndarray,
+def _conv_layer(layer: LayerSpec, rows, cols, x: np.ndarray, w: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
     """Plain padded integer convolution (identity activation)."""
-    y_in, x_in, p_y, p_x = layer.y_in, layer.x_in, layer.p_y, layer.p_x
+    (y_in, _, _, p_y, y_out), (x_in, _, _, p_x, x_out) = rows, cols
     padded = np.zeros((y_in + 2 * p_y, x_in + 2 * p_x, layer.c_in), dtype=np.int64)
     padded[p_y:p_y + y_in, p_x:p_x + x_in] = x
-    out = np.einsum("yxijgc,goijc->yxgo", _windows(padded, layer, y_out, x_out), w)
+    view = _windows(padded, rows, cols, layer.groups, y_out, x_out)
+    out = np.einsum("yxijgc,goijc->yxgo", view, w)
     out += b
     return out.reshape(y_out, x_out, layer.c_out)
 
@@ -254,8 +254,8 @@ def execute_network_reference(net, input_tensor, weights,
     Arithmetic is int64 and wraps modulo 2**64.
     """
     x, grouped = _checked_inputs(net, input_tensor, weights, cycle_cap)
-    for layer, (y_out, x_out, w, b) in zip(net.layers, grouped):
-        x = _conv_layer(layer, y_out, x_out, x, w, b)
+    for layer, (rows, cols, w, b) in zip(net.layers, grouped):
+        x = _conv_layer(layer, rows, cols, x, w, b)
     return x
 
 
@@ -289,12 +289,12 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
                 f"exceed the {size}-word arena")
     arena = np.zeros(size, dtype=np.int64)
     _write_span(arena, plan.layer_plans[0].input_base, x.reshape(-1))
-    for layer, (y_out, x_out, w, b), lp in zip(net.layers, grouped, plan.layer_plans):
-        _run_layer_in_arena(layer, y_out, x_out, w, b, lp, arena, checked)
+    for layer, (rows, cols, w, b), lp in zip(net.layers, grouped, plan.layer_plans):
+        _run_layer_in_arena(layer, rows, cols, w, b, lp, arena, checked)
     # the last layer's output; an unwrapped read is a view: copy it so that
     # the arena is freed
-    out = _read_span(arena, lp.output_base, y_out * x_out * layer.c_out)
-    return (out.copy() if out.base is arena else out).reshape(y_out, x_out, layer.c_out)
+    out = _read_span(arena, lp.output_base, rows[4] * cols[4] * layer.c_out)
+    return (out.copy() if out.base is arena else out).reshape(rows[4], cols[4], layer.c_out)
 
 
 def _read_span(arena, start, n):
@@ -314,7 +314,7 @@ def _write_span(arena, start, values) -> None:
     arena[:values.size - head] = values[head:]
 
 
-def _run_layer_in_arena(layer, y_out, x_out, w, b, lp, arena, checked) -> None:
+def _run_layer_in_arena(layer, rows, cols, w, b, lp, arena, checked) -> None:
     """One layer's windows in batches of at most ``_BATCH_WORDS`` words,
     each also ending after every window that writes early.
 
@@ -326,12 +326,11 @@ def _run_layer_in_arena(layer, y_out, x_out, w, b, lp, arena, checked) -> None:
     when none of a batch's windows but the last writes early: then no window
     in the batch reads a word an earlier one of them wrote.
     """
-    size, c_out, c_in = arena.size, layer.c_out, layer.c_in
-    y_in, x_in, k_y, k_x = layer.y_in, layer.x_in, layer.k_y, layer.k_x
-    s_y, s_x, p_y, p_x = layer.s_y, layer.s_x, layer.p_y, layer.p_x
+    size, c_out, c_in, groups = arena.size, layer.c_out, layer.c_in, layer.groups
+    (y_in, k_y, s_y, p_y, y_out), (x_in, k_x, s_x, p_x, x_out) = rows, cols
     windows, row, m_conv = x_out * y_out, x_in * c_in, y_in * x_in * c_in
     carry = layer.residual_carry_words
-    lrw = _last_read_window(layer)
+    lrw = _last_read_window(rows, cols)
     shift = lp.output_base - lp.input_base
 
     def run_piece(w0, w1):
@@ -344,10 +343,10 @@ def _run_layer_in_arena(layer, y_out, x_out, w, b, lp, arena, checked) -> None:
         r0, r1 = max(top, 0), min(top + band.shape[0], y_in)
         c0, c1 = max(left, 0), min(left + band.shape[1], x_in)
         if r1 > r0 and c1 > c0:  # with padding >= the kernel a piece may read no input
-            rows = _read_span(arena, lp.input_base + r0 * row, (r1 - r0) * row)
-            band[r0 - top:r1 - top, c0 - left:c1 - left] = rows.reshape(-1, x_in, c_in)[:, c0:c1]
+            span = _read_span(arena, lp.input_base + r0 * row, (r1 - r0) * row)
+            band[r0 - top:r1 - top, c0 - left:c1 - left] = span.reshape(-1, x_in, c_in)[:, c0:c1]
         # a contiguous copy, at most the batch's words, contracts faster than the view
-        view = np.ascontiguousarray(_windows(band, layer, oy1 - oy0, ox1 - ox0))
+        view = np.ascontiguousarray(_windows(band, rows, cols, groups, oy1 - oy0, ox1 - ox0))
         out = np.einsum("yxijgc,goijc->yxgo", view, w)
         out += b
         _write_span(arena, lp.output_base + w0 * c_out, out.reshape(-1))

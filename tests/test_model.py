@@ -21,6 +21,7 @@ from actplan import (
     sweep_layer_configs,
 )
 
+from actplan.model import _axis_terms, _out_size, axes
 from conftest import paper_offset_reference, square
 
 # paper_offset of every layer of every bundled file, as computed by a scan of
@@ -76,6 +77,7 @@ class TestLayerSizes:
         layer = LayerSpec(x_in=x_in, y_in=x_in, c_in=1, k_x=k, k_y=k, s_x=s, s_y=s,
                           p_x=p, p_y=p, c_out=1)
         assert (layer.x_out, layer.y_out) == (x_out, x_out)
+        assert [n_out for *_, n_out in axes(layer)] == [x_out, x_out]
 
     def test_counts(self):
         layer = square(4, c_in=3, k=3, p=1, c_out=8, carry=10)
@@ -100,6 +102,7 @@ class TestLayerSizes:
         for layer in (square(4, c_in=3, k=3, p=1, c_out=8, carry=10),
                       square(6, c_in=2, k=3, s=2, p=2, c_out=4, groups=2)):
             assert min_offset(SimpleNamespace(**vars(layer))) == min_offset(layer)
+            assert axes(SimpleNamespace(**vars(layer))) == axes(layer)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -174,6 +177,29 @@ class TestMinOffset:
         assert len(layers) == 17248
         for layer, raw in zip(layers, lifetime_minima(layers)):
             assert min_offset(layer) == max(1, raw), layer
+
+    def test_axis_terms_equal_the_largest_term_over_every_read(self):
+        # the three candidates of min_offset's concavity argument against the
+        # literal largest a*j - b*i over every in-bounds (window j, tap) read,
+        # both empty when nothing along the axis is read, on every axis with
+        # an edge of 1-40 or a bundled edge, k <= 11, s <= 5 and p <= k + 2:
+        # that covers every bundled axis, up to 640 and the 9-tap, pad-4 one
+        rng = random.Random(29)
+        axes_checked = 0
+        for n_in in [*range(1, 41), 64, 97, 160, 224, 320, 640]:
+            for k in range(1, 12):
+                for s in range(1, 6):
+                    for p in range(max(0, -(-(k - n_in) // 2)), k + 3):
+                        axis = (n_in, k, s, p, _out_size(n_in, k, s, p))
+                        a, b = rng.randint(1, 10**6), rng.randint(1, 10**6)
+                        # window j covers [lo, lo + k) with lo = j*s - p
+                        largest = max((a * j - b * i
+                                       for j, lo in enumerate(range(-p, axis[4] * s - p, s))
+                                       for i in range(max(0, lo), min(n_in, lo + k))),
+                                      default=None)
+                        assert max(_axis_terms(axis, a, b), default=None) == largest, (axis, a, b)
+                        axes_checked += 1
+        assert axes_checked == 22145
 
     def test_equals_row_and_column_scan(self):
         # edges up to 300, where the oracle is too slow to compare with

@@ -32,6 +32,7 @@ from actplan import (
     verify_layer,
 )
 
+from actplan.model import axes
 from actplan.oracle import _last_read_window, _refuse_over_word_cap
 from conftest import (
     exhaustive,
@@ -219,8 +220,14 @@ class TestBruteForceOffset:
             # a batch is checked whole before any layer's reads are built
             with pytest.raises(SizeLimitError, match="50331648 .* bound of 2097152"):
                 lifetime_minima([self.AT_BOUND, square(3), self.ROW])
-            with pytest.raises(SizeLimitError, match="bound of 2097152"):
-                _last_read_window(self.ROW)  # the in-arena executor's table
+            # both executors refuse before they read a tensor or fill an arena
+            net = NetworkSpec("row", (self.ROW,))
+            x = np.broadcast_to(np.int64(0), (1, 2**24, 1))  # no copy
+            weights = [(np.zeros((1, 1, 3, 1), np.int64), np.zeros(1, np.int64))]
+            with pytest.raises(SizeLimitError, match="50331648 .* bound of 2097152"):
+                execute_network_reference(net, x, weights)
+            with pytest.raises(SizeLimitError, match="50331648 .* bound of 2097152"):
+                execute_network_in_arena(net, plan_network(net), x, weights, checked=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -582,7 +589,7 @@ class TestExecutors:
     @pytest.mark.parametrize("name", sorted(ODD_SHAPES))
     def test_odd_shapes_last_read_window(self, name):
         for layer in ODD_SHAPES[name].layers:
-            lrw = _last_read_window(layer)
+            lrw = _last_read_window(*axes(layer))
             m_conv = layer.y_in * layer.x_in * layer.c_in
             assert lrw.shape == (layer.y_in * layer.x_in + 1,) and lrw[-1] == -1
             assert last_reading_windows(layer) == [int(lrw[a // layer.c_in])

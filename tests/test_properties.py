@@ -23,6 +23,7 @@ import random
 from unittest.mock import patch
 
 from actplan import oracle
+from actplan.model import axes
 from actplan.oracle import _last_read_window
 from actplan.sweep import _SWEEP_SLICE
 from conftest import exhaustive, last_reading_windows, loop_nest_trace, paper_offset_reference
@@ -122,7 +123,7 @@ def test_last_read_window_is_shared_by_a_pixels_channels(layer):
     # only if, grouped or not, every channel of a pixel has the same last
     # reading window in the literal trace; the slot after the last pixel
     # marks every word above them as never read
-    lrw = _last_read_window(layer)
+    lrw = _last_read_window(*axes(layer))
     assert lrw.shape == (layer.y_in * layer.x_in + 1,)
     assert lrw[-1] == -1
     m_conv = layer.y_in * layer.x_in * layer.c_in
