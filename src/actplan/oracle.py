@@ -172,53 +172,62 @@ def verify_layer(layer: LayerSpec, cycle_cap: int | None = None,
 _BATCH_WORDS = 1 << 15
 
 
-def _refuse_over_word_cap(net, arena_size: int = 0) -> None:
-    """Refuse a layer input, output or weight set, or an arena, above ``_WORD_CAP`` words."""
-    words = max(arena_size, *(max(layer.m_in, layer.m_out, layer.c_out * layer.block_cycles)
-                              for layer in net.layers))
+def _admit(net, cycle_cap: int | None = None, plan=None) -> list:
+    """Each layer's rows and columns, once the network may execute: the one
+    decision, made before any work.  Checks :func:`_axes`' bounds, then
+    ``cycle_cap`` MAC cycles if given, then each layer's input, output and
+    weight words and ``plan``'s arena against ``_WORD_CAP``, then that ``plan``
+    is for this network and its arena holds each layer's input and output."""
+    geometry, sizes, cycles, words = [], [], 0, (0 if plan is None else plan.arena_size)
+    for layer in net.layers:
+        rows, cols = _axes(layer)
+        m_in = rows[0] * cols[0] * layer.c_in + layer.residual_carry_words
+        m_out = rows[4] * cols[4] * layer.c_out
+        weight_words = layer.c_out * (layer.c_in // layer.groups) * rows[1] * cols[1]
+        cycles += rows[4] * cols[4] * weight_words
+        words = max(words, m_in, m_out, weight_words)
+        geometry.append((rows, cols))
+        sizes.append((m_in, m_out))
+    if cycle_cap is not None and cycles > cycle_cap:
+        raise SizeLimitError(f"network needs {cycles} MAC cycles, above the execution cap of "
+                             f"{cycle_cap}; raise the cap to execute it anyway")
     if words > _WORD_CAP:
         raise SizeLimitError(f"network needs a {words}-word buffer, above the execution "
                              f"bound of {_WORD_CAP} words")
+    if plan is not None:
+        if [(lp.m_in, lp.m_out) for lp in plan.layer_plans] != sizes:
+            raise DimensionMismatchError(
+                "plan is for another network: per-layer word counts differ")
+        for lp in plan.layer_plans:
+            if (live := max(lp.m_in, lp.m_out)) > plan.arena_size:
+                raise DimensionMismatchError(f"layer {lp.index + 1}: {live} input or output "
+                                             f"words exceed the {plan.arena_size}-word arena")
+    return geometry
 
 
-def _checked_inputs(net, input_tensor, weights, cap: int, arena_size: int = 0):
-    """The input as int64 and, for each layer, its rows and columns as
-    :func:`_axes` checks them, and its weights grouped as (groups, c_out per
-    group, k_y, k_x, c_in per group) with its bias as (groups, c_out per
-    group), after refusing networks above the cycle, axis-read or word bound
-    and tensors of the wrong shape, all before any work."""
-    layers = net.layers
-    geometry = list(map(_axes, layers))
-    cycles = sum(rows[4] * cols[4] * layer.c_out * layer.block_cycles
-                 for layer, (rows, cols) in zip(layers, geometry))
-    if cycles > cap:
-        raise SizeLimitError(
-            f"network needs {cycles} MAC cycles, above the execution cap of {cap}; "
-            "raise the cap to execute it anyway"
-        )
-    _refuse_over_word_cap(net, arena_size)
+def _checked_inputs(net, input_tensor, weights, cycle_cap: int, plan=None):
+    """The input as int64 and each layer's rows, columns, weights grouped as
+    (groups, c_out per group, k_y, k_x, c_in per group) and bias as (groups,
+    c_out per group); refuses what :func:`_admit` refuses before converting
+    any tensor, then tensors of the wrong shape."""
+    geometry = _admit(net, cycle_cap, plan)
     x = np.asarray(input_tensor, dtype=np.int64)
-    first = layers[0]
-    if x.shape != (first.y_in, first.x_in, first.c_in):
-        raise DimensionMismatchError(
-            f"input shape {x.shape} does not match layer 1 "
-            f"({first.y_in}, {first.x_in}, {first.c_in})"
-        )
-    if len(weights) != len(layers):
-        raise DimensionMismatchError(f"{len(weights)} weight sets for {len(layers)} layers")
+    rows, cols = geometry[0]
+    if x.shape != (want := (rows[0], cols[0], net.layers[0].c_in)):
+        raise DimensionMismatchError(f"input shape {x.shape} does not match layer 1 {want}")
+    if len(weights) != len(geometry):
+        raise DimensionMismatchError(f"{len(weights)} weight sets for {len(geometry)} layers")
     grouped = []
-    for i, (layer, (rows, cols), (w, b)) in enumerate(zip(layers, geometry, weights)):
+    for i, (layer, (rows, cols), (w, b)) in enumerate(zip(net.layers, geometry, weights)):
         w = np.asarray(w, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         want = (layer.c_out, rows[1], cols[1], layer.c_in // layer.groups)
         if w.shape != want:
-            raise DimensionMismatchError(
-                f"layer {i + 1}: weight shape {w.shape} does not match {want}"
-            )
+            raise DimensionMismatchError(f"layer {i + 1}: weight shape {w.shape} "
+                                         f"does not match {want}")
         if b.shape != (layer.c_out,):
-            raise DimensionMismatchError(
-                f"layer {i + 1}: bias shape {b.shape} does not match ({layer.c_out},)"
-            )
+            raise DimensionMismatchError(f"layer {i + 1}: bias shape {b.shape} "
+                                         f"does not match ({layer.c_out},)")
         g = layer.groups
         grouped.append((rows, cols, w.reshape(g, layer.c_out // g, *want[1:]), b.reshape(g, -1)))
     return x, grouped
@@ -277,17 +286,8 @@ def execute_network_in_arena(net, plan, input_tensor, weights, checked=False,
     an unchecked run of a broken plan gives exactly the window-by-window
     result.  Arithmetic is int64 and wraps modulo 2**64, as in the reference.
     """
-    x, grouped = _checked_inputs(net, input_tensor, weights, cycle_cap, plan.arena_size)
-    if ([(lp.m_in, lp.m_out) for lp in plan.layer_plans]
-            != [(layer.m_in, layer.m_out) for layer in net.layers]):
-        raise DimensionMismatchError("plan is for another network: per-layer word counts differ")
-    size = plan.arena_size
-    for lp in plan.layer_plans:
-        if max(lp.m_in, lp.m_out) > size:
-            raise DimensionMismatchError(
-                f"layer {lp.index + 1}: {max(lp.m_in, lp.m_out)} input or output words "
-                f"exceed the {size}-word arena")
-    arena = np.zeros(size, dtype=np.int64)
+    x, grouped = _checked_inputs(net, input_tensor, weights, cycle_cap, plan)
+    arena = np.zeros(plan.arena_size, dtype=np.int64)
     _write_span(arena, plan.layer_plans[0].input_base, x.reshape(-1))
     for layer, (rows, cols, w, b), lp in zip(net.layers, grouped, plan.layer_plans):
         _run_layer_in_arena(layer, rows, cols, w, b, lp, arena, checked)
@@ -380,15 +380,12 @@ def _run_layer_in_arena(layer, rows, cols, w, b, lp, arena, checked) -> None:
 
 
 def seeded_test_vectors(net, seed: int):
-    """Deterministic random input and weights for a network, each in -8..8."""
-    _refuse_over_word_cap(net)
+    """Deterministic random int64 input and weights for a network, each in
+    -8..8, drawn once :func:`_admit` admits the network at any cycle count."""
+    geometry = _admit(net)
     rng = np.random.default_rng(seed)
-    first = net.layers[0]
-    x = rng.integers(-8, 9, size=(first.y_in, first.x_in, first.c_in), dtype=np.int64)
-    weights = []
-    for layer in net.layers:
-        w = rng.integers(-8, 9, size=(layer.c_out, layer.k_y, layer.k_x,
-                                     layer.c_in // layer.groups), dtype=np.int64)
-        b = rng.integers(-8, 9, size=layer.c_out, dtype=np.int64)
-        weights.append((w, b))
-    return x, weights
+    rows, cols = geometry[0]
+    x = rng.integers(-8, 9, (rows[0], cols[0], net.layers[0].c_in))
+    return x, [(rng.integers(-8, 9, (layer.c_out, rows[1], cols[1], layer.c_in // layer.groups)),
+                rng.integers(-8, 9, layer.c_out))
+               for layer, (rows, cols) in zip(net.layers, geometry)]

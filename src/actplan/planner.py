@@ -106,6 +106,9 @@ def plan_with_offsets(net: NetworkSpec, offsets, arena_size=None) -> MemoryPlan:
         raise InvalidLayerError(
             f"{len(offsets)} offsets for {len(net.layers)} layers"
         )
+    for v in offsets if arena_size is None else [*offsets, arena_size]:
+        if not isinstance(v, int) or isinstance(v, bool):  # LayerSpec's rule
+            raise InvalidLayerError(f"offsets and arena_size must be integers, got {v!r}")
     if any(d < 0 for d in offsets):
         raise InvalidLayerError("offsets must be >= 0")
     if arena_size is not None and arena_size < 1:

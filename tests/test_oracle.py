@@ -32,8 +32,9 @@ from actplan import (
     verify_layer,
 )
 
+from actplan.cli import main
 from actplan.model import axes
-from actplan.oracle import _last_read_window, _refuse_over_word_cap
+from actplan.oracle import _admit, _last_read_window
 from conftest import (
     exhaustive,
     last_reading_windows,
@@ -540,7 +541,10 @@ class TestExecutors:
                           p_x=0, p_y=0, c_out=1)
         net = NetworkSpec("probe", (first, replace(first, c_in=1, k_x=2)))
         plan = plan_network(net)
-        x, weights = seeded_test_vectors(net, seed=0)
+        # seeded_test_vectors refuses this network too: zero broadcasts, no copy
+        x = np.broadcast_to(np.int64(0), (1, 1_100_000, 2))
+        weights = [(np.zeros((1, 1, k, c_in), np.int64), np.zeros(1, np.int64))
+                   for k, c_in in ((1, 2), (2, 1))]
         for run in (lambda: execute_network_reference(net, x, weights),
                     lambda: execute_network_in_arena(net, plan, x, weights, checked=True)):
             tracemalloc.start()
@@ -600,9 +604,9 @@ class TestExecutors:
         # and return a tensor read from the wrong region
         net = random_network(random.Random(1))
         prefix = NetworkSpec("prefix", net.layers[:2])
-        x, weights = seeded_test_vectors(net, seed=0)
+        # the plan is refused before any tensor is looked at
         with pytest.raises(DimensionMismatchError, match="another network"):
-            execute_network_in_arena(net, plan_network(prefix), x, weights, checked=True)
+            execute_network_in_arena(net, plan_network(prefix), None, [], checked=True)
 
     @pytest.mark.parametrize("layer,size,words", [
         (square(4), 15, 16),           # 16 input words
@@ -611,10 +615,9 @@ class TestExecutors:
     def test_arena_smaller_than_input_or_output_refused(self, layer, size, words):
         # an arena below a layer's output would wrap that output onto itself
         net = NetworkSpec("n", (layer,))
-        x, weights = seeded_test_vectors(net, seed=0)
         small = plan_with_offsets(net, [0], arena_size=size)
         with pytest.raises(DimensionMismatchError, match=f"layer 1: {words} input or output"):
-            execute_network_in_arena(net, small, x, weights)
+            execute_network_in_arena(net, small, None, [])
 
     # 60,000,000 input words but only 1,000 windows, far under the cycle cap
     PROBE = LayerSpec(x_in=60_000_000, y_in=1, c_in=1, k_x=1, k_y=1, s_x=60_000, s_y=1,
@@ -623,8 +626,14 @@ class TestExecutors:
     HEAVY = LayerSpec(x_in=1, y_in=1, c_in=1, k_x=60_000, k_y=60_000, s_x=1, s_y=1,
                       p_x=30_000, p_y=30_000, c_out=1)
 
-    def test_word_bound_refuses_before_allocating(self):
+    def test_word_bound_refuses_before_allocating(self, tmp_path, capsys):
         probe = NetworkSpec("probe", (self.PROBE,))
+        # 16,777,216 input words, under the word bound, but 50,331,648 reads
+        # along x: refused before its test vectors are drawn
+        row = NetworkSpec("row", (TestBruteForceOffset.ROW,))
+        row_file = tmp_path / "row.net"
+        row_file.write_text("name: row\nlayers:\n  - {x_in: 16777216, y_in: 1, c_in: 1, "
+                            "k_x: 3, k_y: 1, s_x: 1, s_y: 1, p_x: 1, p_y: 0, c_out: 1}\n")
         tiny = NetworkSpec("tiny", (square(2),))
         x, weights = seeded_test_vectors(tiny, seed=0)
         huge_arena = plan_with_offsets(tiny, [1], arena_size=2**25 + 1)
@@ -641,16 +650,20 @@ class TestExecutors:
                     run()
             with pytest.raises(SizeLimitError, match="33554433-word buffer"):
                 execute_network_in_arena(tiny, huge_arena, x, weights)
+            with pytest.raises(SizeLimitError, match="50331648 .* bound of 2097152"):
+                seeded_test_vectors(row, seed=0)
+            assert main(["exec", str(row_file), "--checked"]) == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        assert "50331648 (window, tap) reads along one axis" in capsys.readouterr().err
 
     def test_word_bound_admits_every_bundled_network(self):
         for name in ("dlib_face", "dmcnn_vd", "dmcnn_vd_64", "mobilenet_v2",
                      "single_identity", "yolo_lite"):
             net = parse_network_file(bundled_network_path(name))
-            _refuse_over_word_cap(net, plan_network(net).arena_size)
+            _admit(net, plan=plan_network(net))
 
 
 class TestFullScale:

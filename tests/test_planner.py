@@ -123,6 +123,11 @@ class TestPlan:
         for size in (0, -5):
             with pytest.raises(InvalidLayerError, match="arena_size must be >= 1"):
                 plan_with_offsets(net, [1, 1], arena_size=size)
+        # LayerSpec's rule: a float or a bool is no integer, even one equal to one
+        for offsets, size in (([1, 2.5], None), ([True, 1], None), ([1, 1.0], None),
+                              ([1, 1], 70.5), ([1, 1], True)):
+            with pytest.raises(InvalidLayerError, match="must be integers"):
+                plan_with_offsets(net, offsets, arena_size=size)
 
 
 class TestBaselineAndParams:
