@@ -16,8 +16,8 @@ print(f"  UNSAFE       {s.unsafe}")
 
 e = run_exec_sweep(seed=0, count=100)
 print(f"\nexecution of {e.networks} seeded random networks:")
-print(f"  bit-exact under the planned offsets   {e.bit_exact}/{e.networks}")
-print(f"  bit-exact under the oracle's offsets  {e.oracle_plan_bit_exact}/{e.networks}")
+print(f"  bit-exact under the planned offsets       {e.bit_exact}/{e.networks}")
+print(f"  planned offsets equal the oracle's minima  {e.oracle_plan_bit_exact}/{e.networks}")
 print(f"  clobbers when a constraint-bound offset drops below the minimum: "
       f"{e.tight_probe_clobbers}/{e.tight_probes}")
 

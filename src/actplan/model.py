@@ -8,10 +8,10 @@ a layer may start *below* the input region and chase it upward.
 
 ``min_offset`` is the exact lifetime minimum, a separable formula over the
 last window that reads each input row and column, evaluated at no more than
-three candidate indices per axis; the planner turns it into each layer's
-joint footprint ``max(m_in + d, m_out)``.  Plans do not use the paper's
-pointer model, which lives in :mod:`actplan.pointer`.  This module is pure
-Python, so planning does not load numpy.
+two windows per axis; the planner turns it into each layer's joint footprint
+``max(m_in + d, m_out)``.  Plans do not use the paper's pointer model, which
+lives in :mod:`actplan.pointer`.  This module is pure Python, so planning
+does not load numpy.
 """
 
 from __future__ import annotations
@@ -107,19 +107,26 @@ def axes(layer) -> tuple:
             (x_in, k_x, s_x, p_x, _out_size(x_in, k_x, s_x, p_x)))
 
 
-def _axis_terms(axis: tuple, a: int, b: int) -> list:
-    """Candidates for the largest ``a*j - b*i`` over an axis's (window ``j``,
-    index ``i``) reads, where window ``j`` covers ``[j*s - p, j*s - p + k)``:
-    windows ``j0``, ``lo`` and ``hi`` of ``min_offset``'s argument, each at
-    its smallest index.  An empty list means no index along the axis is read.
+def _axis_term(axis: tuple, a: int, b: int):
+    """The largest ``a*j - b*i`` over an axis's (window ``j``, index ``i``)
+    reads, where window ``j`` covers ``[j*s - p, j*s - p + k)``, or ``None``
+    when no index along the axis is read: window ``j0`` of ``min_offset``'s
+    argument, or the end of the linear piece ``lo..hi`` that its slope
+    ``a - b*s`` favours, each at its smallest index.
     """
     n_in, k, s, p, n_out = axis
-    j0 = min(n_out - 1, p // s)
-    terms = [a * j0] if j0 * s - p + k > 0 else []
-    lo, hi = -(-p // s), min(n_out - 1, (n_in - 1 + p) // s)
+    last, j0, lo, hi = n_out - 1, p // s, -(-p // s), (n_in - 1 + p) // s
+    if j0 > last:  # comparisons, not min(): this runs twice per planned layer
+        j0 = last
+    if hi > last:
+        hi = last
+    term = a * j0 if j0 * s - p + k > 0 else None
     if lo <= hi:
-        terms += [(a - b * s) * j + b * p for j in (lo, hi)]
-    return terms
+        slope = a - b * s
+        line = slope * (hi if slope > 0 else lo) + b * p
+        if term is None or line > term:
+            term = line
+    return term
 
 
 def min_offset(layer: LayerSpec) -> int:
@@ -136,21 +143,22 @@ def min_offset(layer: LayerSpec) -> int:
     so the term is the largest ``f(j) = min(a*j, (a - b*s)*j + b*p)`` over the
     reading windows, an interval.  ``f`` is the minimum of two lines, so it is
     concave, rising up to ``p/s`` and linear from ``ceil(p/s)`` on: it peaks at
-    the last reading window at or below ``p/s``, at ``ceil(p/s)`` or at the
-    last reading window, ``_axis_terms``' ``j0``, ``lo`` and ``hi``.  That
-    holds for every axis and channel count, at a cost that does not grow with
-    the image.  The result is floored at one word (strict separation); an axis
-    with no index read leaves it at one.  A residual carry sits above the input
-    and stays live all layer, so the last output word must land below it:
-    ``d >= m_out - x_in*y_in*c_in``.
+    the last reading window at or below ``p/s`` (``j0``), or at whichever end
+    of the linear piece its slope ``a - b*s`` favours, ``ceil(p/s)`` (``lo``)
+    or the last reading window (``hi``); ``_axis_term`` evaluates those two.
+    That holds for every axis and channel count, at a cost that does not grow
+    with the image.  The result is floored at one word (strict separation); an
+    axis with no index read leaves it at one.  A residual carry sits above the
+    input and stays live all layer, so the last output word must land below
+    it: ``d >= m_out - x_in*y_in*c_in``.
 
     Only the fields are read, so a plain namespace of them will do, as
     ``benchmarks/workloads.py`` passes.
     """
     y, x = axes(layer)
-    rows = _axis_terms(y, layer.c_out * x[4], x[0] * layer.c_in)
-    cols = _axis_terms(x, layer.c_out, layer.c_in)
-    d = max(1, max(rows) + max(cols)) if rows and cols else 1
+    row = _axis_term(y, layer.c_out * x[4], x[0] * layer.c_in)
+    col = _axis_term(x, layer.c_out, layer.c_in)
+    d = 1 if row is None or col is None or row + col < 1 else row + col
     if layer.residual_carry_words:
         d = max(d, y[4] * x[4] * layer.c_out - y[0] * x[0] * layer.c_in)
     return d

@@ -61,10 +61,10 @@ class OracleReport:
         return self.d_closed_form - self.d_oracle
 
 
-def _axes(layer: LayerSpec):
-    """The layer's :func:`~actplan.model.axes`; refuses over ``_INT64_BOUND`` input or
-    output words or ``_AXIS_READ_CAP`` reads."""
-    rows, cols = axes(layer)
+def _axes(layer: LayerSpec, geometry=None):
+    """The layer's :func:`~actplan.model.axes`, or ``geometry`` if already taken;
+    refuses over ``_INT64_BOUND`` input or output words or ``_AXIS_READ_CAP`` reads."""
+    rows, cols = geometry or axes(layer)
     if (words := max(layer.m_in, rows[4] * cols[4] * layer.c_out)) > _INT64_BOUND:
         raise SizeLimitError(f"layer has {words} input or output words, above the int64 "
                              f"bound of {_INT64_BOUND} for the oracle and execution")
@@ -129,11 +129,13 @@ def lifetime_minima(layers, cycle_cap: int | None = None) -> list:
     """
     groups, terms = {}, [0] * (2 * len(layers))  # axis -> [(a, b, term slot)]
     for n, layer in enumerate(layers):
-        if cycle_cap is not None and (cycles := layer.m_out * layer.block_cycles) > cycle_cap:
+        rows, cols = geometry = axes(layer)
+        if cycle_cap is not None and (cycles := rows[4] * cols[4] * layer.c_out * (
+                layer.c_in // layer.groups) * rows[1] * cols[1]) > cycle_cap:
             raise SizeLimitError(
                 f"layer needs {cycles} MAC cycles, above the brute-force cap of {cycle_cap}; "
                 "use the closed-form planner for layers this large")
-        rows, cols = _axes(layer)
+        _axes(layer, geometry)
         groups.setdefault(rows, []).append((layer.c_out * cols[4], cols[0] * layer.c_in, 2 * n))
         groups.setdefault(cols, []).append((layer.c_out, layer.c_in, 2 * n + 1))
     for axis, coefs in groups.items():

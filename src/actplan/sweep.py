@@ -65,11 +65,12 @@ class SweepSummary:
 
     def record(self, layer: LayerSpec, report) -> None:
         self.total += 1
-        if report.verdict == "match":
+        gap = report.gap  # a property: read it once
+        if gap == 0:
             self.match += 1
-        elif report.verdict == "closed_form_conservative":
+        elif gap > 0:
             self.conservative += 1
-            self.max_gap = max(self.max_gap, report.gap)
+            self.max_gap = max(self.max_gap, gap)
             if self.first_conservative is None:
                 self.first_conservative = layer
         else:
@@ -166,8 +167,8 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
     * the plan's offsets must be the brute-force ones floored at one word,
       as on every carry-free layer, so the run above proves that plan too,
     * for every layer whose brute-force offset is constraint-bound (not the
-      one-word floor), lowering it below that offset must clobber; this is
-      the minimality witness for the oracle itself.
+      one-word floor), lowering it alone in the plan's arena below that
+      offset must clobber; this is the minimality witness for the oracle itself.
     """
     summary = ExecSummary()
     for i in range(count):
@@ -192,11 +193,15 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
             if raw < 1:
                 continue  # floor-bound: even a zero offset never collides
             summary.tight_probes += 1
-            below = [lp.d for lp in plan.layer_plans]
-            below[li] = raw - 1
+            # a checked clobber depends only on the layer, its offset and the
+            # arena size, and the layers before li just ran bit-exact
+            layer = net.layers[li]
+            alone = NetworkSpec(net.name, (layer,))
             try:
-                execute_network_in_arena(net, plan_with_offsets(net, below, plan.arena_size),
-                                         x, weights, checked=True)
+                execute_network_in_arena(
+                    alone, plan_with_offsets(alone, [raw - 1], plan.arena_size),
+                    np.zeros((layer.y_in, layer.x_in, layer.c_in), dtype=np.int64),
+                    [weights[li]], checked=True)
             except ClobberError:
                 summary.tight_probe_clobbers += 1
     return summary

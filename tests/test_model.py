@@ -21,7 +21,7 @@ from actplan import (
     sweep_layer_configs,
 )
 
-from actplan.model import _axis_terms, _out_size, axes
+from actplan.model import _axis_term, _out_size, axes
 from conftest import paper_offset_reference, square
 
 # paper_offset of every layer of every bundled file, as computed by a scan of
@@ -179,9 +179,9 @@ class TestMinOffset:
             assert min_offset(layer) == max(1, raw), layer
 
     def test_axis_terms_equal_the_largest_term_over_every_read(self):
-        # the three candidates of min_offset's concavity argument against the
-        # literal largest a*j - b*i over every in-bounds (window j, tap) read,
-        # both empty when nothing along the axis is read, on every axis with
+        # the one term of min_offset's concavity argument against the literal
+        # largest a*j - b*i over every in-bounds (window j, tap) read, both
+        # None when nothing along the axis is read, on every axis with
         # an edge of 1-40 or a bundled edge, k <= 11, s <= 5 and p <= k + 2:
         # that covers every bundled axis, up to 640 and the 9-tap, pad-4 one
         rng = random.Random(29)
@@ -197,7 +197,7 @@ class TestMinOffset:
                                        for j, lo in enumerate(range(-p, axis[4] * s - p, s))
                                        for i in range(max(0, lo), min(n_in, lo + k))),
                                       default=None)
-                        assert max(_axis_terms(axis, a, b), default=None) == largest, (axis, a, b)
+                        assert _axis_term(axis, a, b) == largest, (axis, a, b)
                         axes_checked += 1
         assert axes_checked == 22145
 

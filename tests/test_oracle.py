@@ -119,6 +119,21 @@ class TestBruteForceOffset:
         assert str(exc.value) == text
         assert lifetime_minima([self.BIG]) == [41_024]
 
+    def test_cycle_cap_refuses_before_the_read_bound(self):
+        # ROW needs 50,331,648 MAC cycles and makes as many reads along x:
+        # over both a cap and the read bound it gets the cycle text; under a
+        # cap it meets, the read-bound text
+        cycles = ("layer needs 50331648 MAC cycles, above the brute-force cap of 1000000; "
+                  "use the closed-form planner for layers this large")
+        reads = ("layer has 50331648 (window, tap) reads along one axis, above the "
+                 "bound of 2097152 for the oracle and in-arena execution")
+        for cap, text in ((10**6, cycles), (4_000_000_000, reads)):
+            for run in (lambda: lifetime_minima([self.ROW], cycle_cap=cap),
+                        lambda: verify_layer(self.ROW, cycle_cap=cap)):
+                with pytest.raises(SizeLimitError) as exc:
+                    run()
+                assert str(exc.value) == text
+
     def test_full_scale_layer_in_bounded_memory(self):
         # the oracle's scratch is a few int64 per (window, tap) read along
         # each axis, not one per input word
@@ -413,6 +428,39 @@ def runs_like_the_loop(net, rng, seed):
 
 
 class TestExecutors:
+    def test_lowered_layer_alone_clobbers_as_in_its_network(self):
+        # run_exec_sweep's tightness probes run the lowered layer alone, in
+        # the plan's arena, on a zero input: a checked clobber depends only on
+        # the layer, its offset and the arena size, so the whole network at
+        # the lowered offsets raises at that layer with the same block,
+        # window and last reader
+        probes = 0
+        for seed in range(100):
+            net = random_network(random.Random(seed))
+            plan = plan_network(net)
+            x, weights = seeded_test_vectors(net, seed=seed)
+            for li, raw in enumerate(lifetime_minima(net.layers)):
+                if raw < 1:
+                    continue
+                below = [lp.d for lp in plan.layer_plans]
+                below[li] = raw - 1
+                with pytest.raises(ClobberError) as whole:
+                    execute_network_in_arena(net, plan_with_offsets(net, below, plan.arena_size),
+                                             x, weights, checked=True)
+                layer = net.layers[li]
+                alone = NetworkSpec(net.name, (layer,))
+                with pytest.raises(ClobberError) as single:
+                    execute_network_in_arena(
+                        alone, plan_with_offsets(alone, [raw - 1], plan.arena_size),
+                        np.zeros((layer.y_in, layer.x_in, layer.c_in), np.int64),
+                        [weights[li]], checked=True)
+                got, want = whole.value, single.value
+                assert (got.layer_index, want.layer_index) == (li, 0), (seed, li)
+                assert ((got.block, got.window, got.last_reader)
+                        == (want.block, want.window, want.last_reader)), (seed, li)
+                probes += 1
+        assert probes == 198  # the sweep's "clobber when lowered" count at seed 0
+
     def test_identity_layer_passes_input_through(self):
         net = NetworkSpec("id", (square(4),))
         x = np.arange(16, dtype=np.int64).reshape(4, 4, 1)
