@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from .errors import InvalidLayerError
 
 
-@dataclass(frozen=True)
+# Each field with its least value, in the order LayerSpec checks them.
+_FIELD_FLOORS = (("x_in", 1), ("y_in", 1), ("c_in", 1), ("k_x", 1), ("k_y", 1), ("s_x", 1),
+                 ("s_y", 1), ("c_out", 1), ("groups", 1), ("p_x", 0), ("p_y", 0),
+                 ("residual_carry_words", 0))
+
+
+@dataclass(frozen=True, init=False)
 class LayerSpec:
     """Geometry of one convolution layer.
 
@@ -32,9 +38,18 @@ class LayerSpec:
     (identity/skip data) that must survive this layer; they sit directly
     above the convolution input and enlarge its footprint only.
 
+    An instance is built in one step: ``__init__`` writes every field into
+    the instance dict with one update (a frozen dataclass's generated
+    ``__init__`` pays one ``object.__setattr__`` per field), then checks the
+    fields in one pass: each an ``int`` (not a ``bool``) of at least 1, or 0
+    for the paddings and the carry, then that each kernel fits its padded
+    edge, then that ``groups`` divides both channel counts.  The first
+    failure raises :class:`InvalidLayerError`.  Equality, hashing, ``repr``
+    and ``dataclasses.replace`` (which checks again) are the dataclass's.
+
     The derived sizes ``x_out``, ``y_out``, ``m_in``, ``m_out`` and
-    ``block_cycles`` are read-only properties, computed on each access so
-    that ``vars(layer)`` holds the fields alone.
+    ``block_cycles`` are read-only properties, computed on each access, so
+    ``vars(layer)`` still holds the fields alone.
     """
 
     x_in: int
@@ -50,22 +65,24 @@ class LayerSpec:
     groups: int = 1
     residual_carry_words: int = 0
 
-    def __post_init__(self):
-        for name in ("x_in", "y_in", "c_in", "k_x", "k_y", "s_x", "s_y", "c_out", "groups"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise InvalidLayerError(f"{name} must be an integer >= 1, got {v!r}")
-        for name in ("p_x", "p_y", "residual_carry_words"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InvalidLayerError(f"{name} must be an integer >= 0, got {v!r}")
-        for k, n_in, p, name, side in ((self.k_x, self.x_in, self.p_x, "k_x", "width"),
-                                       (self.k_y, self.y_in, self.p_y, "k_y", "height")):
-            if k > n_in + 2 * p:
-                raise InvalidLayerError(f"kernel {name}={k} exceeds padded {side} {n_in + 2 * p}")
-        if self.c_in % self.groups or self.c_out % self.groups:
+    def __init__(self, x_in, y_in, c_in, k_x, k_y, s_x, s_y, p_x, p_y, c_out, groups=1,
+                 residual_carry_words=0):
+        fields = vars(self)
+        fields.update(x_in=x_in, y_in=y_in, c_in=c_in, k_x=k_x, k_y=k_y, s_x=s_x, s_y=s_y,
+                      p_x=p_x, p_y=p_y, c_out=c_out, groups=groups,
+                      residual_carry_words=residual_carry_words)
+        for name, least in _FIELD_FLOORS:
+            v = fields[name]
+            # an exact int skips both isinstance calls
+            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)) or v < least:
+                raise InvalidLayerError(f"{name} must be an integer >= {least}, got {v!r}")
+        if k_x > x_in + 2 * p_x:
+            raise InvalidLayerError(f"kernel k_x={k_x} exceeds padded width {x_in + 2 * p_x}")
+        if k_y > y_in + 2 * p_y:
+            raise InvalidLayerError(f"kernel k_y={k_y} exceeds padded height {y_in + 2 * p_y}")
+        if c_in % groups or c_out % groups:
             raise InvalidLayerError(
-                f"groups={self.groups} must divide c_in={self.c_in} and c_out={self.c_out}"
+                f"groups={groups} must divide c_in={c_in} and c_out={c_out}"
             )
 
     @property

@@ -44,12 +44,18 @@ _INT64_BOUND = 2**62
 _WORD_CAP = 2**25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OracleReport:
-    """Comparison of the closed-form offset against the brute-force minimum."""
+    """Comparison of the closed-form offset against the brute-force minimum.
+
+    Built, like :class:`~actplan.model.LayerSpec`, by one update of the
+    instance dict: the sweep makes one per layer."""
 
     d_oracle: int
     d_closed_form: int
+
+    def __init__(self, d_oracle, d_closed_form):
+        vars(self).update(d_oracle=d_oracle, d_closed_form=d_closed_form)
 
     @property
     def verdict(self) -> str:
@@ -61,17 +67,15 @@ class OracleReport:
         return self.d_closed_form - self.d_oracle
 
 
-def _axes(layer: LayerSpec, geometry=None):
-    """The layer's :func:`~actplan.model.axes`, or ``geometry`` if already taken;
-    refuses over ``_INT64_BOUND`` input or output words or ``_AXIS_READ_CAP`` reads."""
-    rows, cols = geometry or axes(layer)
-    if (words := max(layer.m_in, rows[4] * cols[4] * layer.c_out)) > _INT64_BOUND:
+def _check_bounds(rows, cols, m_in: int, m_out: int) -> None:
+    """Refuse a layer of these rows, columns and input and output words over
+    ``_INT64_BOUND`` input or output words or ``_AXIS_READ_CAP`` reads along one axis."""
+    if (words := max(m_in, m_out)) > _INT64_BOUND:
         raise SizeLimitError(f"layer has {words} input or output words, above the int64 "
                              f"bound of {_INT64_BOUND} for the oracle and execution")
     if (reads := max(rows[4] * rows[1], cols[4] * cols[1])) > _AXIS_READ_CAP:
         raise SizeLimitError(f"layer has {reads} (window, tap) reads along one axis, above the "
                              f"bound of {_AXIS_READ_CAP} for the oracle and in-arena execution")
-    return rows, cols
 
 
 def _axis_reads(axis: tuple):
@@ -129,15 +133,17 @@ def lifetime_minima(layers, cycle_cap: int | None = None) -> list:
     """
     groups, terms = {}, [0] * (2 * len(layers))  # axis -> [(a, b, term slot)]
     for n, layer in enumerate(layers):
-        rows, cols = geometry = axes(layer)
-        if cycle_cap is not None and (cycles := rows[4] * cols[4] * layer.c_out * (
-                layer.c_in // layer.groups) * rows[1] * cols[1]) > cycle_cap:
+        rows, cols = axes(layer)
+        c_in, c_out = layer.c_in, layer.c_out
+        if cycle_cap is not None and (cycles := rows[4] * cols[4] * c_out * (
+                c_in // layer.groups) * rows[1] * cols[1]) > cycle_cap:
             raise SizeLimitError(
                 f"layer needs {cycles} MAC cycles, above the brute-force cap of {cycle_cap}; "
                 "use the closed-form planner for layers this large")
-        _axes(layer, geometry)
-        groups.setdefault(rows, []).append((layer.c_out * cols[4], cols[0] * layer.c_in, 2 * n))
-        groups.setdefault(cols, []).append((layer.c_out, layer.c_in, 2 * n + 1))
+        _check_bounds(rows, cols, rows[0] * cols[0] * c_in + layer.residual_carry_words,
+                      rows[4] * cols[4] * c_out)
+        groups.setdefault(rows, []).append((c_out * cols[4], cols[0] * c_in, 2 * n))
+        groups.setdefault(cols, []).append((c_out, c_in, 2 * n + 1))
     for axis, coefs in groups.items():
         window, index = _axis_reads(axis)
         step = _AXIS_READ_CAP // max(1, window.size)
@@ -170,21 +176,23 @@ def verify_layer(layer: LayerSpec, cycle_cap: int | None = None,
 
 # Words copied and written per batch of windows: with the bands of input
 # rows its pieces read (a piece's columns when it lies in one output row,
-# else whole rows), bounds the in-arena executor's scratch memory.
+# else whole rows), bounds the in-arena executor's scratch memory; the
+# reference copies at most this many words of windows at a time.
 _BATCH_WORDS = 1 << 15
 
 
 def _admit(net, cycle_cap: int | None = None, plan=None) -> list:
     """Each layer's rows and columns, once the network may execute: the one
-    decision, made before any work.  Checks :func:`_axes`' bounds, then
+    decision, made before any work.  Checks :func:`_check_bounds`, then
     ``cycle_cap`` MAC cycles if given, then each layer's input, output and
     weight words and ``plan``'s arena against ``_WORD_CAP``, then that ``plan``
     is for this network and its arena holds each layer's input and output."""
     geometry, sizes, cycles, words = [], [], 0, (0 if plan is None else plan.arena_size)
     for layer in net.layers:
-        rows, cols = _axes(layer)
+        rows, cols = axes(layer)
         m_in = rows[0] * cols[0] * layer.c_in + layer.residual_carry_words
         m_out = rows[4] * cols[4] * layer.c_out
+        _check_bounds(rows, cols, m_in, m_out)
         weight_words = layer.c_out * (layer.c_in // layer.groups) * rows[1] * cols[1]
         cycles += rows[4] * cols[4] * weight_words
         words = max(words, m_in, m_out, weight_words)
@@ -248,12 +256,22 @@ def _windows(band: np.ndarray, rows, cols, groups: int, n_y: int, n_x: int) -> n
 
 def _conv_layer(layer: LayerSpec, rows, cols, x: np.ndarray, w: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
-    """Plain padded integer convolution (identity activation)."""
-    (y_in, _, _, p_y, y_out), (x_in, _, _, p_x, x_out) = rows, cols
+    """Plain padded integer convolution (identity activation).
+
+    Windows are contracted from contiguous copies of at most ``_BATCH_WORDS``
+    words (einsum walks a copy faster than the strided view): whole output
+    rows, or pieces of one row when a row's windows hold more words."""
+    (y_in, k_y, _, p_y, y_out), (x_in, k_x, _, p_x, x_out) = rows, cols
     padded = np.zeros((y_in + 2 * p_y, x_in + 2 * p_x, layer.c_in), dtype=np.int64)
     padded[p_y:p_y + y_in, p_x:p_x + x_in] = x
     view = _windows(padded, rows, cols, layer.groups, y_out, x_out)
-    out = np.einsum("yxijgc,goijc->yxgo", view, w)
+    out = np.empty((y_out, x_out, *b.shape), dtype=np.int64)
+    per = max(1, _BATCH_WORDS // (k_y * k_x * layer.c_in))  # windows per copy
+    n_y, n_x = (per // x_out, x_out) if per >= x_out else (1, per)
+    for oy in range(0, y_out, n_y):
+        for ox in range(0, x_out, n_x):
+            block = np.ascontiguousarray(view[oy:oy + n_y, ox:ox + n_x])
+            out[oy:oy + n_y, ox:ox + n_x] = np.einsum("yxijgc,goijc->yxgo", block, w)
     out += b
     return out.reshape(y_out, x_out, layer.c_out)
 

@@ -82,18 +82,27 @@ class SweepSummary:
 def sweep_layer_configs(bounds: SweepBounds = SweepBounds()):
     """Yield every layer in the sweep domain, each once.
 
-    Grouped variants use ``groups == c_in`` (depthwise) where it divides
-    ``c_out``.
+    Kernel, stride and padding vary slowest, then width, height, input and
+    output channels and groups.  A row or column axis is its edge with the
+    kernel, stride and padding, so consecutive layers share their axes and
+    each ``_SWEEP_SLICE``-layer slice that :func:`run_layer_sweep` hands the
+    oracle holds few distinct ones: the oracle builds each distinct axis's
+    reads once per slice.  Grouped variants use ``groups == c_in``
+    (depthwise) where it divides ``c_out``.
     """
-    for x_in in range(1, bounds.max_dim + 1):
-        for y_in in range(1, bounds.max_dim + 1):
-            for k in range(1, bounds.max_kernel + 1):
-                for s in range(1, bounds.max_stride + 1):
-                    for p in range(0, bounds.max_pad + 1):
-                        if k > x_in + 2 * p or k > y_in + 2 * p:
+    dims = range(1, bounds.max_dim + 1)
+    channels = range(1, bounds.max_channels + 1)
+    for k in range(1, bounds.max_kernel + 1):
+        for s in range(1, bounds.max_stride + 1):
+            for p in range(0, bounds.max_pad + 1):
+                for x_in in dims:
+                    if k > x_in + 2 * p:
+                        continue
+                    for y_in in dims:
+                        if k > y_in + 2 * p:
                             continue
-                        for c_in in range(1, bounds.max_channels + 1):
-                            for c_out in range(1, bounds.max_channels + 1):
+                        for c_in in channels:
+                            for c_out in channels:
                                 groups_opts = [1]
                                 if bounds.grouped and c_in > 1 and c_out % c_in == 0:
                                     groups_opts.append(c_in)

@@ -105,22 +105,125 @@ class TestLayerSizes:
             assert axes(SimpleNamespace(**vars(layer))) == axes(layer)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs,text",
         [
-            dict(x_in=0), dict(c_in=0), dict(s_x=0), dict(c_out=0),
-            dict(p_x=-1), dict(residual_carry_words=-1),
-            dict(k_x=7),              # wider than the padded image
-            dict(groups=3),           # does not divide c_in=4
-            dict(groups=4, c_out=6),  # does not divide c_out
-            dict(k_y=7),              # taller than the padded image
+            (dict(x_in=0), "x_in must be an integer >= 1, got 0"),
+            (dict(c_in=0), "c_in must be an integer >= 1, got 0"),
+            (dict(s_x=0), "s_x must be an integer >= 1, got 0"),
+            (dict(c_out=0), "c_out must be an integer >= 1, got 0"),
+            (dict(p_x=-1), "p_x must be an integer >= 0, got -1"),
+            (dict(residual_carry_words=-1), "residual_carry_words must be an integer >= 0, got -1"),
+            # wider than the padded image
+            (dict(k_x=7), "kernel k_x=7 exceeds padded width 6"),
+            # does not divide c_in=4
+            (dict(groups=3), "groups=3 must divide c_in=4 and c_out=4"),
+            # does not divide c_out
+            (dict(groups=4, c_out=6), "groups=4 must divide c_in=4 and c_out=6"),
+            # taller than the padded image
+            (dict(k_y=7), "kernel k_y=7 exceeds padded height 6"),
         ],
+        ids=[f"kwargs{i}" for i in range(10)],
     )
-    def test_invalid_layers_rejected(self, kwargs):
+    def test_invalid_layers_rejected(self, kwargs, text):
         base = dict(x_in=4, y_in=4, c_in=4, k_x=3, k_y=3, s_x=1, s_y=1,
                     p_x=1, p_y=1, c_out=4)
         base.update(kwargs)
-        with pytest.raises(InvalidLayerError):
+        with pytest.raises(InvalidLayerError) as exc:
             LayerSpec(**base)
+        assert str(exc.value) == text
+
+
+# the fields in the order LayerSpec checks them, each with a valid value that
+# fits a 4x4, 3x3-kernel layer with 4 -> 4 channels
+CHECK_ORDER = ["x_in", "y_in", "c_in", "k_x", "k_y", "s_x", "s_y", "c_out", "groups",
+               "p_x", "p_y", "residual_carry_words"]
+VALID = dict(x_in=4, y_in=4, c_in=4, k_x=3, k_y=3, s_x=1, s_y=1, p_x=1, p_y=1, c_out=4,
+             groups=1, residual_carry_words=0)
+
+
+def layer_error(**kwargs) -> str:
+    with pytest.raises(InvalidLayerError) as exc:
+        LayerSpec(**{**VALID, **kwargs})
+    return str(exc.value)
+
+
+class TestLayerConstruction:
+    """How a LayerSpec is built: its checks, their order and texts, and the
+    dataclass behaviour callers rely on."""
+
+    @pytest.mark.parametrize("name", CHECK_ORDER)
+    @pytest.mark.parametrize("bad", [-1, 2.0, "4", None, True, False])
+    def test_bad_field_text(self, name, bad):
+        least = 0 if name in ("p_x", "p_y", "residual_carry_words") else 1
+        assert layer_error(**{name: bad}) == f"{name} must be an integer >= {least}, got {bad!r}"
+
+    def test_first_failure_follows_the_check_order(self):
+        # every field bad, then each fixed in turn: the text always names the
+        # first bad field left, then the x and y fits, then the group divisor
+        bad = {name: -1 for name in CHECK_ORDER}
+        for i, name in enumerate(CHECK_ORDER):
+            least = 0 if i >= 9 else 1
+            assert layer_error(**bad) == f"{name} must be an integer >= {least}, got -1"
+            del bad[name]
+        fits = dict(k_x=7, k_y=7, groups=3)
+        assert layer_error(**fits) == "kernel k_x=7 exceeds padded width 6"
+        del fits["k_x"]
+        assert layer_error(**fits) == "kernel k_y=7 exceeds padded height 6"
+        del fits["k_y"]
+        assert layer_error(**fits) == "groups=3 must divide c_in=4 and c_out=4"
+        # a type check on a later field comes before an earlier field's fit
+        assert layer_error(k_x=7, p_y="1") == "p_y must be an integer >= 0, got '1'"
+
+    def test_bools_refused_and_int_subclasses_accepted(self):
+        class Words(int):
+            pass
+
+        assert layer_error(c_out=True) == "c_out must be an integer >= 1, got True"
+        assert layer_error(p_x=False) == "p_x must be an integer >= 0, got False"
+        layer = LayerSpec(**{**VALID, "x_in": Words(4), "residual_carry_words": Words(2)})
+        assert type(layer.x_in) is Words and layer == LayerSpec(**{**VALID,
+                                                                   "residual_carry_words": 2})
+        assert layer.m_in == 4 * 4 * 4 + 2
+
+    def test_positional_equals_keyword(self):
+        fields = [f.name for f in dataclasses.fields(LayerSpec)]
+        assert fields == ["x_in", "y_in", "c_in", "k_x", "k_y", "s_x", "s_y", "p_x", "p_y",
+                          "c_out", "groups", "residual_carry_words"]
+        values = dict(VALID, groups=2, residual_carry_words=5)
+        assert LayerSpec(*(values[f] for f in fields)) == LayerSpec(**values)
+        assert LayerSpec(4, 4, 4, 3, 3, 1, 1, 1, 1, 4) == LayerSpec(**VALID)
+        assert vars(LayerSpec(**values)) == values
+        assert list(vars(LayerSpec(*(values[f] for f in fields)))) == fields
+        with pytest.raises(TypeError):
+            LayerSpec(4, 4, 4, 3, 3, 1, 1, 1, 1)
+        with pytest.raises(TypeError):
+            LayerSpec(**VALID, packing=2)
+
+    def test_frozen(self):
+        layer = LayerSpec(**VALID)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.x_in = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del layer.c_out
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.extra = 1
+        assert vars(layer) == VALID
+
+    def test_replace_validates_again(self):
+        layer = LayerSpec(**VALID)
+        assert dataclasses.replace(layer, c_out=8) == LayerSpec(**{**VALID, "c_out": 8})
+        with pytest.raises(InvalidLayerError, match=r"^kernel k_x=9 exceeds padded width 6$"):
+            dataclasses.replace(layer, k_x=9)
+        with pytest.raises(InvalidLayerError, match=r"^groups must be an integer >= 1, got 0$"):
+            dataclasses.replace(layer, groups=0)
+
+    def test_equal_layers_hash_equal(self):
+        a, b = LayerSpec(**VALID), LayerSpec(*VALID.values())
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b, LayerSpec(**{**VALID, "c_out": 8})}) == 2
+        assert a != LayerSpec(**{**VALID, "residual_carry_words": 1})
+        assert repr(a) == ("LayerSpec(x_in=4, y_in=4, c_in=4, k_x=3, k_y=3, s_x=1, s_y=1, "
+                           "p_x=1, p_y=1, c_out=4, groups=1, residual_carry_words=0)")
 
 
 class TestPointers:

@@ -35,6 +35,7 @@ from actplan import (
 from actplan.cli import main
 from actplan.model import axes
 from actplan.oracle import _admit, _last_read_window
+from actplan.sweep import _SWEEP_SLICE
 from conftest import (
     exhaustive,
     last_reading_windows,
@@ -277,8 +278,9 @@ class TestVerify:
         assert summary.first_conservative == summary.first_unsafe == layer
 
     def test_layer_sweep_memory_does_not_grow_with_the_domain(self):
-        # the sweep verifies a slice of the domain at a time: the whole
-        # default domain of 9,218 layers at once peaks near 4 MiB
+        # the sweep verifies a slice of the domain at a time and peaks near
+        # 1.2 MiB; the whole default domain of 9,218 layers and their reports
+        # at once peaks near 7 MiB
         for bounds in (SweepBounds(), SweepBounds(max_dim=8)):
             tracemalloc.start()
             try:
@@ -288,6 +290,16 @@ class TestVerify:
                 tracemalloc.stop()
             assert summary.total == sum(1 for _ in sweep_layer_configs(bounds))
             assert peak < 2 * 2**20, (bounds, peak)
+
+    def test_layer_sweep_slices_share_their_axes(self):
+        # kernel, stride and padding vary slowest, so the 1,024-layer slices
+        # the oracle takes hold few distinct rows and columns: it builds 189
+        # axes' reads over the default domain (154 distinct), not one per
+        # axis that each slice of an image-size-first order holds (923)
+        layers = list(sweep_layer_configs())
+        built = sum(len({axis for layer in layers[i:i + _SWEEP_SLICE] for axis in axes(layer)})
+                    for i in range(0, len(layers), _SWEEP_SLICE))
+        assert built <= 200, built
 
     def test_layer_sweep_cycle_cap_is_opt_in(self):
         bounds = SweepBounds(max_dim=3)
