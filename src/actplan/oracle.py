@@ -46,10 +46,8 @@ _WORD_CAP = 2**25
 
 @dataclass(frozen=True, init=False)
 class OracleReport:
-    """Comparison of the closed-form offset against the brute-force minimum.
-
-    Built, like :class:`~actplan.model.LayerSpec`, by one update of the
-    instance dict: the sweep makes one per layer."""
+    """Comparison of the closed-form offset against the brute-force minimum,
+    built like :class:`~actplan.model.LayerSpec` by one update of the instance dict."""
 
     d_oracle: int
     d_closed_form: int

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ClobberError
 from .model import LayerSpec, min_offset
 from .oracle import (
-    OracleReport,
     execute_network_in_arena,
     execute_network_reference,
     lifetime_minima,
@@ -64,8 +63,10 @@ class SweepSummary:
     first_conservative: LayerSpec | None = None
 
     def record(self, layer: LayerSpec, report) -> None:
+        self._count(layer, report.gap)
+
+    def _count(self, layer: LayerSpec, gap: int) -> None:
         self.total += 1
-        gap = report.gap  # a property: read it once
         if gap == 0:
             self.match += 1
         elif gap > 0:
@@ -95,34 +96,27 @@ def sweep_layer_configs(bounds: SweepBounds = SweepBounds()):
     for k in range(1, bounds.max_kernel + 1):
         for s in range(1, bounds.max_stride + 1):
             for p in range(0, bounds.max_pad + 1):
-                for x_in in dims:
-                    if k > x_in + 2 * p:
-                        continue
-                    for y_in in dims:
-                        if k > y_in + 2 * p:
-                            continue
+                edges = [n for n in dims if k <= n + 2 * p]  # the kernel fits the padded edge
+                for x_in in edges:
+                    for y_in in edges:
                         for c_in in channels:
                             for c_out in channels:
-                                groups_opts = [1]
+                                yield LayerSpec(x_in, y_in, c_in, k, k, s, s, p, p, c_out)
                                 if bounds.grouped and c_in > 1 and c_out % c_in == 0:
-                                    groups_opts.append(c_in)
-                                for g in groups_opts:
-                                    yield LayerSpec(
-                                        x_in=x_in, y_in=y_in, c_in=c_in,
-                                        k_x=k, k_y=k, s_x=s, s_y=s,
-                                        p_x=p, p_y=p, c_out=c_out, groups=g,
-                                    )
+                                    yield LayerSpec(x_in, y_in, c_in, k, k, s, s, p, p, c_out, c_in)
 
 
 def run_layer_sweep(bounds: SweepBounds = SweepBounds(),
                     cycle_cap: int | None = None) -> SweepSummary:
     """Verify the closed form against the oracle over the whole domain, in fixed-size batches.
 
+    Each layer's gap, the closed form less the minimum floored at one word, is
+    tallied as :meth:`SweepSummary.record` tallies a report's, without building one.
     ``cycle_cap`` is as in :func:`lifetime_minima`: only the benchmark passes one."""
     summary, configs = SweepSummary(), sweep_layer_configs(bounds)
     while batch := list(islice(configs, _SWEEP_SLICE)):
         for layer, raw in zip(batch, lifetime_minima(batch, cycle_cap)):
-            summary.record(layer, OracleReport(max(1, raw), min_offset(layer)))
+            summary._count(layer, min_offset(layer) - max(1, raw))
     return summary
 
 
@@ -178,11 +172,15 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
     * for every layer whose brute-force offset is constraint-bound (not the
       one-word floor), lowering it alone in the plan's arena below that
       offset must clobber; this is the minimality witness for the oracle itself.
+
+    The networks are drawn first, each from its own seed; one oracle call takes
+    all their layers, so each distinct axis's reads are built once a sweep.
     """
+    nets = [random_network(random.Random(seed + i)) for i in range(count)]
+    minima = iter(lifetime_minima([layer for net in nets for layer in net.layers]))
     summary = ExecSummary()
-    for i in range(count):
-        rng = random.Random(seed + i)
-        net = random_network(rng)
+    for i, net in enumerate(nets):
+        raws = list(islice(minima, len(net.layers)))
         plan = plan_network(net)
         x, weights = seeded_test_vectors(net, seed=seed + i)
         ref = execute_network_reference(net, x, weights)
@@ -194,7 +192,6 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
             summary.mismatches.append(net)
             continue
 
-        raws = lifetime_minima(net.layers)
         if [lp.d for lp in plan.layer_plans] == [max(1, raw) for raw in raws]:
             summary.oracle_plan_bit_exact += 1
 

@@ -1,5 +1,6 @@
 """Brute-force lifetime oracle and the two executors."""
 
+import hashlib
 import random
 import tracemalloc
 from dataclasses import replace
@@ -26,6 +27,7 @@ from actplan import (
     plan_with_offsets,
     random_network,
     read_pointer_at,
+    run_exec_sweep,
     run_layer_sweep,
     seeded_test_vectors,
     sweep_layer_configs,
@@ -34,7 +36,7 @@ from actplan import (
 
 from actplan.cli import main
 from actplan.model import axes
-from actplan.oracle import _admit, _last_read_window
+from actplan.oracle import _admit, _axis_reads, _last_read_window
 from actplan.sweep import _SWEEP_SLICE
 from conftest import (
     exhaustive,
@@ -314,6 +316,80 @@ class TestVerify:
         reads, _ = loop_nest_trace(layer)
         future = min(addr for k, addr in reads if k > 5)
         assert read_pointer_at(45, layer) == future == 1
+
+
+class TestSweepHarness:
+    """The layer and exec sweeps: their domain, tallies and oracle calls, pinned."""
+
+    SMALL = SweepBounds(max_dim=3, max_kernel=3, max_stride=3, max_pad=3, max_channels=2)
+
+    @pytest.mark.parametrize("bounds, count, digest", [
+        (SweepBounds(), 9218,
+         "212e0f1474fc16de6b02d633e06c78bb5cc0480d303b78fbe7cc77d933977456"),
+        (SweepBounds(grouped=False), 7542,
+         "58291b5d436a8f2631d313b8cce6c4b6670b9a75dabc2a5b1f5005989fa57d61"),
+        (SMALL, 1425, "7cb90fca37ecd5d6358616f38eab519c1adf7934543453422675182680ae9e18"),
+    ], ids=["default", "ungrouped", "small"])
+    def test_domain_keeps_its_layers_and_order(self, bounds, count, digest):
+        # sha256 over every layer's field values, in the order yielded
+        h, n = hashlib.sha256(), 0
+        for layer in sweep_layer_configs(bounds):
+            h.update(repr(tuple(vars(layer).values())).encode())
+            n += 1
+        assert (n, h.hexdigest()) == (count, digest)
+
+    @pytest.mark.parametrize("bounds, forced", [(SweepBounds(), None), (SMALL, 1)],
+                             ids=["default", "small-forced-unsafe"])
+    def test_layer_sweep_tallies_as_record_does(self, monkeypatch, bounds, forced):
+        # the sweep tallies gaps without building reports; a summary fed
+        # one verify_layer report per layer must agree on every field
+        if forced is not None:
+            monkeypatch.setattr("actplan.sweep.min_offset", lambda layer: forced)
+        want = SweepSummary()
+        for layer in sweep_layer_configs(bounds):
+            want.record(layer, verify_layer(layer, closed_form_offset=forced))
+        got = run_layer_sweep(bounds)
+        assert got == want
+        if forced is not None:
+            assert got.unsafe and got.first_unsafe is not None
+
+    def test_exec_sweep_asks_the_oracle_once(self, monkeypatch):
+        calls = []
+
+        def wrapper(layers, *args):
+            calls.append(list(layers))
+            return lifetime_minima(layers, *args)
+
+        monkeypatch.setattr("actplan.sweep.lifetime_minima", wrapper)
+        run_exec_sweep(seed=3, count=40)
+        drawn = [layer for i in range(40) for layer in random_network(random.Random(3 + i)).layers]
+        assert calls == [drawn]
+
+    @pytest.mark.parametrize("seed, counts", [
+        (0, (30, 30, 30, 54, 54, 0)),
+        (1, (30, 30, 30, 54, 54, 0)),
+        (2, (30, 30, 30, 52, 52, 0)),
+        (3, (30, 30, 30, 52, 52, 0)),
+        (4, (30, 30, 30, 53, 53, 0)),
+    ])
+    def test_exec_sweep_counts(self, seed, counts):
+        e = run_exec_sweep(seed=seed, count=30)
+        assert (e.networks, e.bit_exact, e.oracle_plan_bit_exact, e.tight_probes,
+                e.tight_probe_clobbers, len(e.mismatches)) == counts
+
+    def test_exec_sweep_builds_each_axis_once(self, monkeypatch):
+        # seed 0's 100 networks hold 90 distinct axes; one oracle call per
+        # network built 684 axis-read tables
+        built = []
+
+        def counting(axis):
+            built.append(axis)
+            return _axis_reads(axis)
+
+        monkeypatch.setattr("actplan.oracle._axis_reads", counting)
+        run_exec_sweep(seed=0, count=100)
+        assert len(built) <= 100, len(built)
+        assert len(built) == len(set(built))
 
 
 def identity_weights(net):
