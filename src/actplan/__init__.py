@@ -38,7 +38,7 @@ from .report import plan_to_json, render_memory_map, render_plan_text
 _LAZY = {
     "OracleReport": "oracle", "lifetime_minima": "oracle", "verify_layer": "oracle",
     "execute_network_reference": "oracle", "execute_network_in_arena": "oracle",
-    "seeded_test_vectors": "oracle",
+    "check_plan": "oracle", "seeded_test_vectors": "oracle",
     "SweepBounds": "sweep", "SweepSummary": "sweep", "ExecSummary": "sweep",
     "sweep_layer_configs": "sweep", "run_layer_sweep": "sweep", "random_network": "sweep",
     "run_exec_sweep": "sweep",
@@ -60,7 +60,8 @@ __all__ = [
     "InvalidLayerError", "NetworkFileError", "SizeLimitError",
     "LayerSpec", "read_pointer_at", "paper_offset", "min_offset",
     "OracleReport", "lifetime_minima", "verify_layer",
-    "execute_network_reference", "execute_network_in_arena", "seeded_test_vectors",
+    "execute_network_reference", "execute_network_in_arena", "check_plan",
+    "seeded_test_vectors",
     "NetworkSpec", "LayerPlan", "MemoryPlan", "packed_layers", "plan_network",
     "plan_with_offsets", "tightest_layer",
     "parse_network_file", "parse_network_text", "bundled_network_path",

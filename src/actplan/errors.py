@@ -44,7 +44,8 @@ class NetworkFileError(ActplanError):
 
 
 class ClobberError(ActplanError):
-    """Checked in-arena execution wrote over a word that was still live.
+    """Checked in-arena execution, or ``check_plan``'s replay, wrote over a
+    word that was still live.
 
     Carries the layer index, the output block whose write collided, the
     absolute arena address, the window that wrote it and the last window

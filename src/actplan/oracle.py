@@ -6,10 +6,11 @@ over every in-bounds (window, tap) read (windows in y, x order; padded taps
 read nothing); :func:`verify_layer` floors it at one word and judges a
 closed-form offset against it.  Whole networks are executed bit-exactly
 inside one flat arena to prove that a plan never destroys data that is still
-needed.  The one fact shared with the closed form is that reads are a
-product: window ``(oy, ox)`` reads pixel ``(y, x)`` exactly when it reads
-row ``y`` and column ``x``, so a maximum over them is a row plus a column
-maximum, from reads built once per distinct axis.
+needed; :func:`check_plan` replays a plan's writes by the same early-write
+rule, without the arithmetic.  The one fact shared with the closed form is
+that reads are a product: window ``(oy, ox)`` reads pixel ``(y, x)`` exactly
+when it reads row ``y`` and column ``x``, so a maximum over them is a row
+plus a column maximum, from reads built once per distinct axis.
 
 Write timing contract: all ``c_out`` output words of one window are committed
 together once its final tap has been read.  Every output block of a window
@@ -44,16 +45,12 @@ _INT64_BOUND = 2**62
 _WORD_CAP = 2**25
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OracleReport:
-    """Comparison of the closed-form offset against the brute-force minimum,
-    built like :class:`~actplan.model.LayerSpec` by one update of the instance dict."""
+    """Comparison of the closed-form offset against the brute-force minimum."""
 
     d_oracle: int
     d_closed_form: int
-
-    def __init__(self, d_oracle, d_closed_form):
-        vars(self).update(d_oracle=d_oracle, d_closed_form=d_closed_form)
 
     @property
     def verdict(self) -> str:
@@ -184,7 +181,10 @@ def _admit(net, cycle_cap: int | None = None, plan=None) -> list:
     decision, made before any work.  Checks :func:`_check_bounds`, then
     ``cycle_cap`` MAC cycles if given, then each layer's input, output and
     weight words and ``plan``'s arena against ``_WORD_CAP``, then that ``plan``
-    is for this network and its arena holds each layer's input and output."""
+    is for this network, that its arena holds each layer's input and output
+    and that its bases chain: each layer's input base is the output base
+    before it and its offset is its input base less its output base, both
+    modulo the arena."""
     geometry, sizes, cycles, words = [], [], 0, (0 if plan is None else plan.arena_size)
     for layer in net.layers:
         rows, cols = axes(layer)
@@ -206,10 +206,20 @@ def _admit(net, cycle_cap: int | None = None, plan=None) -> list:
         if [(lp.m_in, lp.m_out) for lp in plan.layer_plans] != sizes:
             raise DimensionMismatchError(
                 "plan is for another network: per-layer word counts differ")
+        size, base = plan.arena_size, plan.layer_plans[0].input_base
         for lp in plan.layer_plans:
-            if (live := max(lp.m_in, lp.m_out)) > plan.arena_size:
+            if (live := max(lp.m_in, lp.m_out)) > size:
                 raise DimensionMismatchError(f"layer {lp.index + 1}: {live} input or output "
-                                             f"words exceed the {plan.arena_size}-word arena")
+                                             f"words exceed the {size}-word arena")
+            if (lp.input_base - base) % size:
+                raise DimensionMismatchError(
+                    f"layer {lp.index + 1}: input base {lp.input_base} is not layer "
+                    f"{lp.index}'s output base {base} modulo the arena")
+            base = lp.output_base
+            if (lp.input_base - base - lp.d) % size:
+                raise DimensionMismatchError(
+                    f"layer {lp.index + 1}: offset {lp.d} is not input base {lp.input_base} "
+                    f"less output base {lp.output_base} modulo the arena")
     return geometry
 
 
@@ -332,6 +342,53 @@ def _write_span(arena, start, values) -> None:
     arena[:values.size - head] = values[head:]
 
 
+def _early_writes(layer, rows, cols, lp, size, step):
+    """The one rule for an early write, as :func:`execute_network_in_arena`
+    states it: yields ``(c0, c1, early, victim)`` for each ``step`` windows
+    ``c0 .. c1 - 1`` of the layer at plan entry ``lp`` in a ``size``-word arena.
+    ``victim`` is the last window due to read the word each of their output
+    words lands on, ``early`` the positions of the early ones in ``victim``."""
+    c_out, c_in, carry = layer.c_out, layer.c_in, layer.residual_carry_words
+    windows, m_conv = rows[4] * cols[4], rows[0] * cols[0] * c_in
+    lrw = _last_read_window(rows, cols)
+    shift = lp.output_base - lp.input_base
+    for c0 in range(0, windows, step):
+        c1 = min(c0 + step, windows)
+        # each landing word's offset above the input base and the last window
+        # due to read it; carry words outlive every window
+        a = np.arange(c0 * c_out + shift, c1 * c_out + shift) % size
+        victim = lrw.take(a // c_in, mode="clip")
+        if carry:
+            victim[(a >= m_conv) & (a < m_conv + carry)] = windows
+        early = np.flatnonzero(victim.reshape(-1, c_out) > np.arange(c0, c1)[:, None])
+        yield c0, c1, early, victim
+
+
+def _clobber(layer, lp, size, c0, early, victim) -> ClobberError:
+    """The first early write of a batch from :func:`_early_writes` as an error."""
+    e = int(early[0])
+    k = c0 * layer.c_out + e
+    return ClobberError(lp.index, k, (lp.output_base + k) % size, k // layer.c_out,
+                        int(victim[e]))
+
+
+def check_plan(net, plan) -> None:
+    """Replay ``plan``'s writes word by word, without arithmetic: raise the
+    :class:`ClobberError` that checked execution would raise first, if any.
+
+    Refuses what :func:`_admit` refuses for ``plan``, at any cycle count.
+    Each layer is replayed ``_BATCH_WORDS`` output words at a time (one
+    window at least), so past the last-reader table, one int64 per input
+    pixel, its scratch is a few arrays of at most that many words.
+    """
+    size = plan.arena_size
+    for layer, (rows, cols), lp in zip(net.layers, _admit(net, plan=plan), plan.layer_plans):
+        step = max(1, _BATCH_WORDS // layer.c_out)
+        for c0, _, early, victim in _early_writes(layer, rows, cols, lp, size, step):
+            if early.size:
+                raise _clobber(layer, lp, size, c0, early, victim)
+
+
 def _run_layer_in_arena(layer, rows, cols, w, b, lp, arena, checked) -> None:
     """One layer's windows in batches of at most ``_BATCH_WORDS`` words,
     each also ending after every window that writes early.
@@ -346,10 +403,7 @@ def _run_layer_in_arena(layer, rows, cols, w, b, lp, arena, checked) -> None:
     """
     size, c_out, c_in, groups = arena.size, layer.c_out, layer.c_in, layer.groups
     (y_in, k_y, s_y, p_y, y_out), (x_in, k_x, s_x, p_x, x_out) = rows, cols
-    windows, row, m_conv = x_out * y_out, x_in * c_in, y_in * x_in * c_in
-    carry = layer.residual_carry_words
-    lrw = _last_read_window(rows, cols)
-    shift = lp.output_base - lp.input_base
+    row = x_in * c_in
 
     def run_piece(w0, w1):
         oy0, oy1 = w0 // x_out, (w1 - 1) // x_out + 1
@@ -370,20 +424,9 @@ def _run_layer_in_arena(layer, rows, cols, w, b, lp, arena, checked) -> None:
         _write_span(arena, lp.output_base + w0 * c_out, out.reshape(-1))
 
     step = max(1, _BATCH_WORDS // (k_y * k_x * c_in + c_out))
-    for c0 in range(0, windows, step):
-        c1 = min(c0 + step, windows)
-        # each landing word's offset above the input base and the last window
-        # due to read it; carry words outlive every window
-        a = np.arange(c0 * c_out + shift, c1 * c_out + shift) % size
-        victim = lrw.take(a // c_in, mode="clip")
-        if carry:
-            victim[(a >= m_conv) & (a < m_conv + carry)] = windows
-        early = np.flatnonzero(victim.reshape(-1, c_out) > np.arange(c0, c1)[:, None])
+    for c0, c1, early, victim in _early_writes(layer, rows, cols, lp, size, step):
         if checked and early.size:
-            e = int(early[0])
-            k = c0 * c_out + e
-            raise ClobberError(lp.index, k, (lp.output_base + k) % size, k // c_out,
-                               int(victim[e]))
+            raise _clobber(layer, lp, size, c0, early, victim)
         # a batch ends after each window that writes early
         w0 = c0
         for w1 in [*(early // c_out + c0 + 1).tolist(), c1]:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ClobberError
 from .model import LayerSpec, min_offset
 from .oracle import (
+    check_plan,
     execute_network_in_arena,
     execute_network_reference,
     lifetime_minima,
@@ -171,7 +172,8 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
       as on every carry-free layer, so the run above proves that plan too,
     * for every layer whose brute-force offset is constraint-bound (not the
       one-word floor), lowering it alone in the plan's arena below that
-      offset must clobber; this is the minimality witness for the oracle itself.
+      offset must clobber in :func:`check_plan`; this is the minimality
+      witness for the oracle itself.
 
     The networks are drawn first, each from its own seed; one oracle call takes
     all their layers, so each distinct axis's reads are built once a sweep.
@@ -199,15 +201,10 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
             if raw < 1:
                 continue  # floor-bound: even a zero offset never collides
             summary.tight_probes += 1
-            # a checked clobber depends only on the layer, its offset and the
-            # arena size, and the layers before li just ran bit-exact
-            layer = net.layers[li]
-            alone = NetworkSpec(net.name, (layer,))
+            # the layers before li just ran bit-exact
+            alone = NetworkSpec(net.name, (net.layers[li],))
             try:
-                execute_network_in_arena(
-                    alone, plan_with_offsets(alone, [raw - 1], plan.arena_size),
-                    np.zeros((layer.y_in, layer.x_in, layer.c_in), dtype=np.int64),
-                    [weights[li]], checked=True)
+                check_plan(alone, plan_with_offsets(alone, [raw - 1], plan.arena_size))
             except ClobberError:
                 summary.tight_probe_clobbers += 1
     return summary

@@ -17,6 +17,7 @@ from actplan import (
     SweepBounds,
     SweepSummary,
     bundled_network_path,
+    check_plan,
     execute_network_in_arena,
     execute_network_reference,
     lifetime_minima,
@@ -36,7 +37,7 @@ from actplan import (
 
 from actplan.cli import main
 from actplan.model import axes
-from actplan.oracle import _admit, _axis_reads, _last_read_window
+from actplan.oracle import _BATCH_WORDS, _admit, _axis_reads, _last_read_window
 from actplan.sweep import _SWEEP_SLICE
 from conftest import (
     exhaustive,
@@ -296,8 +297,7 @@ class TestVerify:
     def test_layer_sweep_slices_share_their_axes(self):
         # kernel, stride and padding vary slowest, so the 1,024-layer slices
         # the oracle takes hold few distinct rows and columns: it builds 189
-        # axes' reads over the default domain (154 distinct), not one per
-        # axis that each slice of an image-size-first order holds (923)
+        # axes' reads over the default domain (154 distinct)
         layers = list(sweep_layer_configs())
         built = sum(len({axis for layer in layers[i:i + _SWEEP_SLICE] for axis in axes(layer)})
                     for i in range(0, len(layers), _SWEEP_SLICE))
@@ -365,6 +365,20 @@ class TestSweepHarness:
         drawn = [layer for i in range(40) for layer in random_network(random.Random(3 + i)).layers]
         assert calls == [drawn]
 
+    def test_exec_sweep_runs_one_executor_per_network(self, monkeypatch):
+        # the tightness probes replay their layer with check_plan: only each
+        # network's own plan is executed in the arena
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return execute_network_in_arena(*args, **kwargs)
+
+        monkeypatch.setattr("actplan.sweep.execute_network_in_arena", counting)
+        summary = run_exec_sweep(seed=0, count=60)
+        assert len(calls) == 60
+        assert summary.tight_probe_clobbers == summary.tight_probes == 109
+
     @pytest.mark.parametrize("seed, counts", [
         (0, (30, 30, 30, 54, 54, 0)),
         (1, (30, 30, 30, 54, 54, 0)),
@@ -378,8 +392,7 @@ class TestSweepHarness:
                 e.tight_probe_clobbers, len(e.mismatches)) == counts
 
     def test_exec_sweep_builds_each_axis_once(self, monkeypatch):
-        # seed 0's 100 networks hold 90 distinct axes; one oracle call per
-        # network built 684 axis-read tables
+        # seed 0's 100 networks hold 90 distinct axes
         built = []
 
         def counting(axis):
@@ -481,12 +494,22 @@ def batch_kinds(layer, batch_words):
     return kinds
 
 
+def first_clobber(run, *args, **kwargs):
+    """``(layer, block, address, window, last reader)`` of the
+    :class:`ClobberError` that ``run(*args, **kwargs)`` raises, or None."""
+    try:
+        run(*args, **kwargs)
+    except ClobberError as exc:
+        return exc.layer_index, exc.block, exc.address, exc.window, exc.last_reader
+    return None
+
+
 def runs_like_the_loop(net, rng, seed):
     """Run ``net`` at its plan and at three sets of offsets lowered by random
     amounts, the last inside an arena shrunk to the largest input or output:
-    checked runs clobber at the same (layer, block, address, window, last
-    reader) as the window-by-window loop, and unchecked runs give the same
-    words.  Returns how many of the four runs clobber."""
+    checked runs and ``check_plan`` clobber at the same (layer, block,
+    address, window, last reader) as the window-by-window loop, and unchecked
+    runs give the same words.  Returns how many of the four runs clobber."""
     plan = plan_network(net)
     x, weights = seeded_test_vectors(net, seed=seed)
     assert np.array_equal(execute_network_reference(net, x, weights),
@@ -498,18 +521,11 @@ def runs_like_the_loop(net, rng, seed):
         if trial == 3:
             size = max(max(lp.m_in, lp.m_out) for lp in plan.layer_plans)
         p = plan_with_offsets(net, offsets, arena_size=size)
-        try:
-            loop_nest_exec(net, p, x, weights, checked=True)
-            want = None
-        except ClobberError as exc:
-            want = (exc.layer_index, exc.block, exc.address, exc.window, exc.last_reader)
-            clobbers += 1
-        try:
-            execute_network_in_arena(net, p, x, weights, checked=True)
-            got = None
-        except ClobberError as exc:
-            got = (exc.layer_index, exc.block, exc.address, exc.window, exc.last_reader)
-        assert got == want, (seed, offsets, size)
+        want = first_clobber(loop_nest_exec, net, p, x, weights, checked=True)
+        clobbers += want is not None
+        assert first_clobber(execute_network_in_arena, net, p, x, weights,
+                             checked=True) == want, (seed, offsets, size)
+        assert first_clobber(check_plan, net, p) == want, (seed, offsets, size)
         assert np.array_equal(execute_network_in_arena(net, p, x, weights),
                               loop_nest_exec(net, p, x, weights)), (seed, offsets, size)
     return clobbers
@@ -517,11 +533,9 @@ def runs_like_the_loop(net, rng, seed):
 
 class TestExecutors:
     def test_lowered_layer_alone_clobbers_as_in_its_network(self):
-        # run_exec_sweep's tightness probes run the lowered layer alone, in
-        # the plan's arena, on a zero input: a checked clobber depends only on
-        # the layer, its offset and the arena size, so the whole network at
-        # the lowered offsets raises at that layer with the same block,
-        # window and last reader
+        # run_exec_sweep's tightness probes replay the lowered layer alone, in
+        # the plan's arena: the whole network at the lowered offsets raises at
+        # that layer with the same block, window and last reader
         probes = 0
         for seed in range(100):
             net = random_network(random.Random(seed))
@@ -535,13 +549,9 @@ class TestExecutors:
                 with pytest.raises(ClobberError) as whole:
                     execute_network_in_arena(net, plan_with_offsets(net, below, plan.arena_size),
                                              x, weights, checked=True)
-                layer = net.layers[li]
-                alone = NetworkSpec(net.name, (layer,))
+                alone = NetworkSpec(net.name, (net.layers[li],))
                 with pytest.raises(ClobberError) as single:
-                    execute_network_in_arena(
-                        alone, plan_with_offsets(alone, [raw - 1], plan.arena_size),
-                        np.zeros((layer.y_in, layer.x_in, layer.c_in), np.int64),
-                        [weights[li]], checked=True)
+                    check_plan(alone, plan_with_offsets(alone, [raw - 1], plan.arena_size))
                 got, want = whole.value, single.value
                 assert (got.layer_index, want.layer_index) == (li, 0), (seed, li)
                 assert ((got.block, got.window, got.last_reader)
@@ -744,6 +754,26 @@ class TestExecutors:
         with pytest.raises(DimensionMismatchError, match="another network"):
             execute_network_in_arena(net, plan_network(prefix), None, [], checked=True)
 
+    def test_plan_whose_bases_do_not_chain_refused(self):
+        # with layer 2's two bases 7 words up, layer 1's output is not layer
+        # 2's input: run anyway, a checked run finishes without a ClobberError
+        # and with a wrong result, and a per-layer replay passes
+        net = parse_network_file(bundled_network_path("dmcnn_vd_64"))
+        plan = plan_network(net)
+        size, second = plan.arena_size, plan.layer_plans[1]
+        for moved, match in (
+            (replace(second, input_base=(second.input_base + 7) % size,
+                     output_base=(second.output_base + 7) % size),
+             "layer 2: input base 16321 is not layer 1's output base 16314 modulo"),
+            (replace(second, output_base=(second.output_base + 7) % size),
+             "layer 2: offset 4160 is not input base 16314 less output base 12161 modulo"),
+        ):
+            bad = replace(plan, layer_plans=(plan.layer_plans[0], moved, *plan.layer_plans[2:]))
+            for run in (lambda: execute_network_in_arena(net, bad, None, [], checked=True),
+                        lambda: check_plan(net, bad)):
+                with pytest.raises(DimensionMismatchError, match=match):
+                    run()
+
     @pytest.mark.parametrize("layer,size,words", [
         (square(4), 15, 16),           # 16 input words
         (square(1, c_out=2), 1, 2),    # one input word, two output words
@@ -837,6 +867,42 @@ class TestFullScale:
             execute_network_in_arena(net, plan, x, weights, checked=True)
         assert (exc.value.layer_index, exc.value.window, exc.value.last_reader) == (
             0, window, last_reader)
+        with pytest.raises(ClobberError) as replayed:
+            check_plan(net, plan)
+        assert (replayed.value.window, replayed.value.last_reader) == (window, last_reader)
+
+    @pytest.mark.parametrize("name, caught", [
+        ("dlib_face", 1), ("mobilenet_v2", 4), ("yolo_lite", 1), ("dmcnn_vd_64", 1),
+        ("single_identity", None),
+    ])
+    def test_bundled_plans_replay(self, name, caught):
+        # dmcnn_vd's plan is replayed by CI; each plan here passes, and with
+        # its largest offset one word short it fails at that layer (a one-word
+        # floor lowered to zero can still be safe)
+        net = parse_network_file(bundled_network_path(name))
+        plan = plan_network(net)
+        check_plan(net, plan)
+        offsets = [lp.d for lp in plan.layer_plans]
+        i = offsets.index(max(offsets))
+        offsets[i] -= 1
+        got = first_clobber(check_plan, net, plan_with_offsets(net, offsets, plan.arena_size))
+        assert (None if got is None else got[0] + 1) == caught
+        assert caught is None or caught == i + 1
+
+    def test_replay_in_bounded_memory(self):
+        # past the largest layer's last-reader table, one int64 per input
+        # pixel, the replay holds a few arrays of _BATCH_WORDS words: yolo_lite's
+        # 6,555,510-word arena would take 50 MiB
+        net = parse_network_file(bundled_network_path("yolo_lite"))
+        plan = plan_network(net)
+        tracemalloc.start()
+        try:
+            check_plan(net, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pixels = max(layer.x_in * layer.y_in for layer in net.layers)
+        assert peak < 8 * (pixels + 1) + 6 * 8 * _BATCH_WORDS
 
     def test_checked_execution_in_bounded_memory(self):
         # the last-reader table is one int64 per pixel, built from one

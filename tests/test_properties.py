@@ -1,18 +1,24 @@
-"""Property-based checks of the pointer model against the oracle."""
+"""Property-based checks of the pointer model against the oracle, and of plan replays."""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actplan import (
+    ClobberError,
     LayerSpec,
     NetworkSpec,
+    check_plan,
     execute_network_in_arena,
     execute_network_reference,
     lifetime_minima,
     min_offset,
     paper_offset,
     plan_network,
+    plan_with_offsets,
     random_network,
     read_pointer_at,
     seeded_test_vectors,
@@ -46,6 +52,48 @@ def layers(draw, max_dim=6, max_channels=3):
         groups = c_in
     return LayerSpec(x_in=x_in, y_in=y_in, c_in=c_in, k_x=k_x, k_y=k_y,
                      s_x=s_x, s_y=s_y, p_x=p_x, p_y=p_y, c_out=c_out, groups=groups)
+
+
+def _padding(draw, k, edge):
+    """A padding up to ``k + 2`` that lets a ``k``-tap kernel fit the padded edge."""
+    return draw(st.integers(max(0, -(-(k - edge) // 2)), k + 2))
+
+
+@st.composite
+def full_scale_networks(draw):
+    """Chains of 1..3 layers past what the executors run in tier-1: edges to
+    640 (each axis its own), kernels to 11, strides to 6, padding to the
+    kernel plus 2, up to 4 channels, any common divisor as groups and some
+    residual carries."""
+    x, y, c = draw(st.integers(1, 640)), draw(st.integers(1, 640)), draw(st.integers(1, 4))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        k_x, k_y = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+        p_x, p_y = _padding(draw, k_x, x), _padding(draw, k_y, y)
+        c_out = draw(st.integers(1, 4))
+        groups = draw(st.sampled_from([g for g in range(1, 5) if math.gcd(c, c_out) % g == 0]))
+        carry = draw(st.sampled_from([0, 0, 1, draw(st.integers(2, 5000))]))
+        layers.append(LayerSpec(x, y, c, k_x, k_y, draw(st.integers(1, 6)),
+                                draw(st.integers(1, 6)), p_x, p_y, c_out, groups, carry))
+        x, y, c = layers[-1].x_out, layers[-1].y_out, c_out
+    return NetworkSpec("full-scale", tuple(layers))
+
+
+@given(full_scale_networks())
+@settings(max_examples=200, deadline=None)
+def test_planned_networks_replay_and_each_offset_is_tight(net):
+    # the plan replays without an early write, and every offset above the
+    # one-word floor, one word short in the same arena, clobbers at its layer
+    plan = plan_network(net)
+    check_plan(net, plan)
+    offsets = [lp.d for lp in plan.layer_plans]
+    for i, d in enumerate(offsets):
+        if d > 1:
+            lowered = plan_with_offsets(net, offsets[:i] + [d - 1] + offsets[i + 1:],
+                                        plan.arena_size)
+            with pytest.raises(ClobberError) as exc:
+                check_plan(net, lowered)
+            assert exc.value.layer_index == i
 
 
 @given(layers())
