@@ -1,16 +1,18 @@
 """Ground truth for the planner: lifetime brute force and executors.
 
-Nothing here uses the closed form's last-window formula or the pointer model.
-:func:`lifetime_minima` gives each layer's least safe offset as a maximum
-over every in-bounds (window, tap) read (windows in y, x order; padded taps
-read nothing); :func:`verify_layer` floors it at one word and judges a
-closed-form offset against it.  Whole networks are executed bit-exactly
-inside one flat arena to prove that a plan never destroys data that is still
-needed; :func:`check_plan` replays a plan's writes by the same early-write
-rule, without the arithmetic.  The one fact shared with the closed form is
-that reads are a product: window ``(oy, ox)`` reads pixel ``(y, x)`` exactly
-when it reads row ``y`` and column ``x``, so a maximum over them is a row
-plus a column maximum, from reads built once per distinct axis.
+Nothing here uses the pointer model or the closed form's concavity step,
+which picks two windows per axis.  :func:`lifetime_minima` gives each
+layer's least safe offset as a maximum over every in-bounds (window, tap)
+read (windows in y, x order; padded taps read nothing); :func:`verify_layer`
+floors it at one word and judges a closed-form offset against it.  Whole
+networks are executed bit-exactly inside one flat arena to prove that a plan
+never destroys data that is still needed; :func:`check_plan` replays a
+plan's writes by the same early-write rule, without the arithmetic.  Two
+steps are shared with the closed form.  Reads are a product: window
+``(oy, ox)`` reads pixel ``(y, x)`` exactly when it reads row ``y`` and
+column ``x``, so a maximum over them is a row plus a column maximum.  And
+along one axis each window's term is largest at its first read, so the
+oracle takes one term per window, in exact Python integers.
 
 Write timing contract: all ``c_out`` output words of one window are committed
 together once its final tap has been read.  Every output block of a window
@@ -32,13 +34,9 @@ from .model import LayerSpec, axes, min_offset
 # network's layers.
 DEFAULT_CYCLE_CAP = 4_000_000_000
 
-# Cap on the (window, tap) reads along either axis: at the cap the oracle's
-# scratch peaks at 80 MiB.
+# Cap on the (window, tap) reads along either axis: the oracle's time bound,
+# about 0.2 s for an axis at the cap on a 2-core Xeon, and the executors'.
 _AXIS_READ_CAP = 2**21
-
-# Cap on a layer's input and output words for the oracle: each of its int64
-# terms is a difference of two products below the cap, so it stays exact.
-_INT64_BOUND = 2**62
 
 # Cap on each layer's input, output and weight words and on the arena, for
 # the executors and their test vectors: 256 MiB of int64 per buffer at the cap.
@@ -62,23 +60,27 @@ class OracleReport:
         return self.d_closed_form - self.d_oracle
 
 
-def _check_bounds(rows, cols, m_in: int, m_out: int) -> None:
-    """Refuse a layer of these rows, columns and input and output words over
-    ``_INT64_BOUND`` input or output words or ``_AXIS_READ_CAP`` reads along one axis."""
-    if (words := max(m_in, m_out)) > _INT64_BOUND:
-        raise SizeLimitError(f"layer has {words} input or output words, above the int64 "
-                             f"bound of {_INT64_BOUND} for the oracle and execution")
+def _check_bounds(rows, cols) -> None:
+    """Refuse a layer of these rows and columns over ``_AXIS_READ_CAP`` reads along one axis."""
     if (reads := max(rows[4] * rows[1], cols[4] * cols[1])) > _AXIS_READ_CAP:
         raise SizeLimitError(f"layer has {reads} (window, tap) reads along one axis, above the "
                              f"bound of {_AXIS_READ_CAP} for the oracle and in-arena execution")
 
 
-def _axis_reads(axis: tuple):
-    """Every in-bounds read along one axis as (window, index) arrays."""
+def _first_read_term(axis: tuple, a: int, b: int):
+    """The largest ``a*j - b*i`` over an axis's (window ``j``, index ``i``)
+    reads, or ``None`` when no index along the axis is read.  Window ``j``
+    covers ``[j*s - p, j*s - p + k)`` and ``b > 0``, so over its reads the
+    term is largest at its first, ``max(0, j*s - p)``: one term per window
+    that reads an index."""
     n_in, k, s, p, n_out = axis
-    pos = np.add.outer(np.arange(-p, n_out * s - p, s), np.arange(k))
-    inside = (pos >= 0) & (pos < n_in)
-    return np.nonzero(inside)[0], pos[inside]
+    term = None
+    for j, lo in enumerate(range(-p, n_out * s - p, s)):
+        if -k < lo < n_in:  # the window reads an index
+            t = a * j - b * (lo if lo > 0 else 0)
+            if term is None or t > term:
+                term = t
+    return term
 
 
 def _last_readers(axis: tuple, scale: int, never: int):
@@ -121,35 +123,27 @@ def lifetime_minima(layers, cycle_cap: int | None = None) -> list:
     ``max(c_out * window - address)`` over every read of a pixel's channel 0,
     its lowest word, and zero.  Window ``oy * x_out + ox`` and address
     ``(y * x_in + x) * c_in`` split it into a row plus a column term, each the
-    largest ``a * window - b * index`` over one axis's reads.  All layers are
-    checked against the bounds first; then each distinct axis's reads are built
-    once, for (layers x reads) matrices of at most ``_AXIS_READ_CAP`` entries.
-    A ``cycle_cap`` also refuses by MAC cycles, for the benchmark's pins only (ROADMAP item 1).
+    largest ``a * window - b * index`` over one axis's reads.  Every layer is
+    checked against the bounds first, so a batch that holds a refused layer
+    is refused before any term is computed.  A ``cycle_cap`` also
+    refuses by MAC cycles, for the benchmark's pins only (ROADMAP item 1).
     """
-    groups, terms = {}, [0] * (2 * len(layers))  # axis -> [(a, b, term slot)]
-    for n, layer in enumerate(layers):
+    checked = []
+    for layer in layers:
         rows, cols = axes(layer)
-        c_in, c_out = layer.c_in, layer.c_out
-        if cycle_cap is not None and (cycles := rows[4] * cols[4] * c_out * (
-                c_in // layer.groups) * rows[1] * cols[1]) > cycle_cap:
+        if cycle_cap is not None and (cycles := rows[4] * cols[4] * layer.c_out * (
+                layer.c_in // layer.groups) * rows[1] * cols[1]) > cycle_cap:
             raise SizeLimitError(
                 f"layer needs {cycles} MAC cycles, above the brute-force cap of {cycle_cap}; "
                 "use the closed-form planner for layers this large")
-        _check_bounds(rows, cols, rows[0] * cols[0] * c_in + layer.residual_carry_words,
-                      rows[4] * cols[4] * c_out)
-        groups.setdefault(rows, []).append((c_out * cols[4], cols[0] * c_in, 2 * n))
-        groups.setdefault(cols, []).append((c_out, c_in, 2 * n + 1))
-    for axis, coefs in groups.items():
-        window, index = _axis_reads(axis)
-        step = _AXIS_READ_CAP // max(1, window.size)
-        for r in range(0, len(coefs), step):
-            a, b, slots = zip(*coefs[r:r + step])
-            m = np.multiply.outer(a, window)
-            m -= np.multiply.outer(b, index)
-            # an axis with no read gives the least int64: its layers' sums stay below zero
-            for slot, term in zip(slots, m.max(axis=1, initial=np.iinfo(np.int64).min).tolist()):
-                terms[slot] = term
-    return [max(0, row + col) for row, col in zip(terms[::2], terms[1::2])]
+        _check_bounds(rows, cols)
+        checked.append((layer, rows, cols))
+    minima = []
+    for layer, rows, cols in checked:
+        row = _first_read_term(rows, layer.c_out * cols[4], cols[0] * layer.c_in)
+        col = _first_read_term(cols, layer.c_out, layer.c_in)
+        minima.append(0 if row is None or col is None else max(0, row + col))
+    return minima
 
 
 def verify_layer(layer: LayerSpec, cycle_cap: int | None = None,
@@ -176,24 +170,24 @@ def verify_layer(layer: LayerSpec, cycle_cap: int | None = None,
 _BATCH_WORDS = 1 << 15
 
 
-def _admit(net, cycle_cap: int | None = None, plan=None) -> list:
+def _admit(net, cycle_cap: int | None = None, plan=None, weights: bool = True) -> list:
     """Each layer's rows and columns, once the network may execute: the one
     decision, made before any work.  Checks :func:`_check_bounds`, then
-    ``cycle_cap`` MAC cycles if given, then each layer's input, output and
-    weight words and ``plan``'s arena against ``_WORD_CAP``, then that ``plan``
-    is for this network, that its arena holds each layer's input and output
-    and that its bases chain: each layer's input base is the output base
-    before it and its offset is its input base less its output base, both
-    modulo the arena."""
+    ``cycle_cap`` MAC cycles if given, then each layer's input and output
+    words, its weight words when ``weights`` are to be drawn or converted,
+    and ``plan``'s arena against ``_WORD_CAP``, then that ``plan`` is for this
+    network, that its arena holds each layer's input and output and that its
+    bases chain: each layer's input base is the output base before it and its
+    offset is its input base less its output base, both modulo the arena."""
     geometry, sizes, cycles, words = [], [], 0, (0 if plan is None else plan.arena_size)
     for layer in net.layers:
         rows, cols = axes(layer)
+        _check_bounds(rows, cols)
         m_in = rows[0] * cols[0] * layer.c_in + layer.residual_carry_words
         m_out = rows[4] * cols[4] * layer.c_out
-        _check_bounds(rows, cols, m_in, m_out)
         weight_words = layer.c_out * (layer.c_in // layer.groups) * rows[1] * cols[1]
         cycles += rows[4] * cols[4] * weight_words
-        words = max(words, m_in, m_out, weight_words)
+        words = max(words, m_in, m_out, weight_words if weights else 0)
         geometry.append((rows, cols))
         sizes.append((m_in, m_out))
     if cycle_cap is not None and cycles > cycle_cap:
@@ -376,13 +370,15 @@ def check_plan(net, plan) -> None:
     """Replay ``plan``'s writes word by word, without arithmetic: raise the
     :class:`ClobberError` that checked execution would raise first, if any.
 
-    Refuses what :func:`_admit` refuses for ``plan``, at any cycle count.
+    Refuses what :func:`_admit` refuses for ``plan``, at any cycle count and
+    weight count: it draws no weights.
     Each layer is replayed ``_BATCH_WORDS`` output words at a time (one
     window at least), so past the last-reader table, one int64 per input
     pixel, its scratch is a few arrays of at most that many words.
     """
     size = plan.arena_size
-    for layer, (rows, cols), lp in zip(net.layers, _admit(net, plan=plan), plan.layer_plans):
+    geometry = _admit(net, plan=plan, weights=False)
+    for layer, (rows, cols), lp in zip(net.layers, geometry, plan.layer_plans):
         step = max(1, _BATCH_WORDS // layer.c_out)
         for c0, _, early, victim in _early_writes(layer, rows, cols, lp, size, step):
             if early.size:

@@ -85,11 +85,7 @@ def sweep_layer_configs(bounds: SweepBounds = SweepBounds()):
     """Yield every layer in the sweep domain, each once.
 
     Kernel, stride and padding vary slowest, then width, height, input and
-    output channels and groups.  A row or column axis is its edge with the
-    kernel, stride and padding, so consecutive layers share their axes and
-    each ``_SWEEP_SLICE``-layer slice that :func:`run_layer_sweep` hands the
-    oracle holds few distinct ones: the oracle builds each distinct axis's
-    reads once per slice.  Grouped variants use ``groups == c_in``
+    output channels and groups.  Grouped variants use ``groups == c_in``
     (depthwise) where it divides ``c_out``.
     """
     dims = range(1, bounds.max_dim + 1)
@@ -174,15 +170,10 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
       one-word floor), lowering it alone in the plan's arena below that
       offset must clobber in :func:`check_plan`; this is the minimality
       witness for the oracle itself.
-
-    The networks are drawn first, each from its own seed; one oracle call takes
-    all their layers, so each distinct axis's reads are built once a sweep.
     """
-    nets = [random_network(random.Random(seed + i)) for i in range(count)]
-    minima = iter(lifetime_minima([layer for net in nets for layer in net.layers]))
     summary = ExecSummary()
-    for i, net in enumerate(nets):
-        raws = list(islice(minima, len(net.layers)))
+    for i in range(count):
+        net = random_network(random.Random(seed + i))
         plan = plan_network(net)
         x, weights = seeded_test_vectors(net, seed=seed + i)
         ref = execute_network_reference(net, x, weights)
@@ -194,6 +185,7 @@ def run_exec_sweep(seed: int = 0, count: int = 100) -> ExecSummary:
             summary.mismatches.append(net)
             continue
 
+        raws = lifetime_minima(net.layers)
         if [lp.d for lp in plan.layer_plans] == [max(1, raw) for raw in raws]:
             summary.oracle_plan_bit_exact += 1
 

@@ -155,16 +155,18 @@ class TestVerify:
             assert code == 0
             assert "arena            16,777,217 words" in out
 
-    def test_layer_above_int64_bound_skipped(self, capsys, tmp_path):
-        # 2**64 input words: one skipped row, not a wrapped UNSAFE verdict
+    def test_layer_above_int64_verified(self, capsys, tmp_path):
+        # 2**64 input words: the oracle's Python ints check it exactly, and
+        # exec refuses it by the word bound
         net = tmp_path / "deep.net"
         net.write_text(f"name: deep\nlayers:\n  - {{x_in: 4, y_in: 4, c_in: {2**60}, "
                        "k_x: 1, k_y: 1, s_x: 1, s_y: 1, p_x: 0, p_y: 0, c_out: 1}\n")
         code, out, _ = run_cli(capsys, "verify", str(net))
         assert code == 0
-        assert out == ("layer   1: skipped (layer has 18446744073709551616 input or output "
-                       "words, above the int64 bound of 4611686018427387904 for the oracle "
-                       "and execution)\n")
+        assert out == "layer   1: match (d=1, paper 1)\n"
+        code, _, err = run_cli(capsys, "exec", str(net))
+        assert code == 2
+        assert "above the execution bound of 33554432 words" in err
 
     def test_cycle_cap_is_not_a_verify_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,7 @@ from actplan import (
 )
 
 from actplan.model import _axis_term, _out_size, axes
+from actplan.oracle import _first_read_term
 from conftest import paper_offset_reference, square
 
 # paper_offset of every layer of every bundled file, as computed by a scan of
@@ -282,8 +284,9 @@ class TestMinOffset:
             assert min_offset(layer) == max(1, raw), layer
 
     def test_axis_terms_equal_the_largest_term_over_every_read(self):
-        # the one term of min_offset's concavity argument against the literal
-        # largest a*j - b*i over every in-bounds (window j, tap) read, both
+        # the one term of min_offset's concavity argument and the oracle's
+        # first-read term against the literal largest a*j - b*i over every
+        # in-bounds (window j, tap) read, where a window may read nothing, all
         # None when nothing along the axis is read, on every axis with
         # an edge of 1-40 or a bundled edge, k <= 11, s <= 5 and p <= k + 2:
         # that covers every bundled axis, up to 640 and the 9-tap, pad-4 one
@@ -300,7 +303,8 @@ class TestMinOffset:
                                        for j, lo in enumerate(range(-p, axis[4] * s - p, s))
                                        for i in range(max(0, lo), min(n_in, lo + k))),
                                       default=None)
-                        assert _axis_term(axis, a, b) == largest, (axis, a, b)
+                        assert (_axis_term(axis, a, b) == _first_read_term(axis, a, b)
+                                == largest), (axis, a, b)
                         axes_checked += 1
         assert axes_checked == 22145
 
@@ -382,6 +386,21 @@ class TestMinOffset:
         got = [paper_offset(layer) for layer in layers]
         assert got == BUNDLED_PAPER_OFFSETS[name]
         assert all(type(d) is int for d in got)  # verify --format json serializes them
+
+    def test_paper_offset_undercuts_in_one_sweep_regime(self):
+        # padding above the stride is not the rule: on the default sweep
+        # domain the paper's offset falls below the minimum on 144 layers,
+        # all at (k, s, p) = (5, 1, 2), of that regime's 396; the other
+        # padding-above-stride regimes, (1, 1, 2) to (4, 1, 2), show none
+        under, regime = Counter(), Counter()
+        for layer in sweep_layer_configs():
+            key = (layer.k_x, layer.s_x, layer.p_x)
+            regime[key] += 1
+            if paper_offset(layer) < min_offset(layer):
+                under[key] += 1
+        assert under == {(5, 1, 2): 144}
+        assert regime[5, 1, 2] == 396
+        assert [key for key in regime if key[2] > key[1]] == [(k, 1, 2) for k in range(1, 6)]
 
     def test_side_correction_dip_is_bounded_and_safe(self):
         # when the window run-out at the right edge is nonzero, the frontier

